@@ -2,17 +2,22 @@
 
 The generator-plus-potential operator is discretized as A = D/2 + diag(V)
 where D is the periodic second-difference stencil (1, -2, 1)/h^2 with
-wrap-around corners.  A is exactly symmetric, so the top of its spectrum is
-computed by a dense symmetric eigendecomposition and the Perron eigenvector
-is sharpened by inverse iteration until the residual sits at roundoff level.
+wrap-around corners.  A is stored as a sparse matrix with 3n nonzeros and is
+exactly symmetric.  The top two eigenvalues come from shift-invert Lanczos
+(ARPACK) with the shift above the Gershgorin bound and the inverse applied by
+a sparse LU, and the Perron eigenvector is sharpened by inverse iteration
+with a sparse LU until the residual sits at roundoff level.  Every step costs
+O(n) time and memory.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
+import scipy.sparse as sp
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
 
 from .grid import GridFunction, PeriodicGrid, derivative, integrate
 
@@ -21,6 +26,7 @@ __all__ = [
     "EigenSolution",
     "PositivityViolation",
     "DegenerateGap",
+    "NonConvergence",
     "build_generator",
     "principal_eigenpair",
     "gibbs_density",
@@ -41,35 +47,43 @@ class DegenerateGap(RuntimeError):
     """The two leading eigenvalues are numerically indistinguishable."""
 
 
+class NonConvergence(RuntimeError):
+    """An iterative solver or the pressure ascent stopped before converging."""
+
+
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """Symmetric discretization of f -> f''/2 + V f on a periodic grid."""
+    """Symmetric discretization of f -> f''/2 + V f on a periodic grid.
+
+    Accepts any square matrix, dense or sparse, and stores it as a read-only
+    CSR array.
+    """
 
     grid: PeriodicGrid
-    matrix: np.ndarray
+    matrix: sp.csr_array
 
     def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=float)
+        m = sp.csr_array(self.matrix, dtype=float, copy=True)
         n = self.grid.n
         if m.shape != (n, n):
             raise ValueError(f"operator matrix must be {n}x{n}, got {m.shape}")
-        if not np.array_equal(m, m.T):
+        if (m != m.T).nnz:
             raise ValueError("operator matrix must be exactly symmetric")
-        m = m.copy()
-        m.setflags(write=False)
+        m.sum_duplicates()
+        for part in (m.data, m.indices, m.indptr):
+            part.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
 
-def laplacian_half(grid: PeriodicGrid) -> np.ndarray:
-    """Dense matrix of the half-Laplacian second-difference stencil."""
+def laplacian_half(grid: PeriodicGrid) -> sp.csr_array:
+    """Sparse matrix of the half-Laplacian second-difference stencil."""
     n = grid.n
     scale = 0.5 / grid.h**2
-    mat = np.zeros((n, n))
-    idx = np.arange(n)
-    mat[idx, idx] = -2.0 * scale
-    mat[idx, (idx + 1) % n] = scale
-    mat[idx, (idx - 1) % n] = scale
-    return mat
+    idx = np.arange(n, dtype=np.int32)
+    rows = np.concatenate([idx, idx, idx])
+    cols = np.concatenate([idx, (idx + 1) % n, (idx - 1) % n])
+    vals = np.concatenate([np.full(n, -2.0 * scale), np.full(2 * n, scale)])
+    return sp.csr_array((vals, (rows, cols)), shape=(n, n))
 
 
 def apply_laplacian_half(f: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
@@ -84,9 +98,7 @@ def build_generator(V: GridFunction) -> OperatorMatrix:
     row_sums = mat.sum(axis=1)
     if np.max(np.abs(row_sums)) > 1e-12 * (0.5 / V.grid.h**2):
         raise RuntimeError("discrete Laplacian does not annihilate constants")
-    idx = np.arange(V.grid.n)
-    mat[idx, idx] += V.values
-    return OperatorMatrix(V.grid, mat)
+    return OperatorMatrix(V.grid, mat + sp.diags_array(V.values, format="csr"))
 
 
 @dataclass(frozen=True)
@@ -107,36 +119,58 @@ class EigenSolution:
     spectral_gap: float
 
 
-def _inverse_iteration(matrix: np.ndarray, shift: float, start: np.ndarray,
-                       sweeps: int = 3) -> np.ndarray:
-    n = matrix.shape[0]
-    shifted = matrix - (shift + 1e-8 * max(1.0, abs(shift))) * np.eye(n)
-    lu = lu_factor(shifted)
+def inverse_iteration(solve: Callable[[np.ndarray], np.ndarray],
+                      start: np.ndarray) -> np.ndarray:
+    """Unit vector after three normalized applications of a shifted solve.
+
+    solve(b) returns (shift - A)^{-1} b or its negative; the result is signed
+    to have a nonnegative mean, so a Perron vector comes out positive.
+    """
     v = start / np.linalg.norm(start)
-    for _ in range(sweeps):
-        v = lu_solve(lu, v)
+    for _ in range(3):
+        v = solve(v)
         v /= np.linalg.norm(v)
-    return v
+    return -v if v.mean() < 0 else v
+
+
+def _top_two_eigenvalues(mat: sp.csr_array) -> np.ndarray:
+    """Two largest eigenvalues, ascending, by shift-invert Lanczos.
+
+    The shift sits 1 above the Gershgorin bound, so the eigenvalues nearest
+    to it are the top two and the shifted matrix is nonsingular.  The start
+    vector is fixed because ARPACK's default one is random.
+    """
+    n = mat.shape[0]
+    diag = mat.diagonal()
+    sigma = float(np.max(diag + abs(mat).sum(axis=1) - np.abs(diag))) + 1.0
+    lu = splu((mat - sigma * sp.eye_array(n)).tocsc())
+    opinv = LinearOperator((n, n), matvec=lu.solve, dtype=float)
+    try:
+        values = eigsh(mat, k=2, sigma=sigma, OPinv=opinv, v0=np.ones(n),
+                       tol=0, return_eigenvectors=False)
+    except ArpackNoConvergence as exc:
+        raise NonConvergence(f"shift-invert Lanczos: {exc}") from exc
+    return np.sort(values)
 
 
 def principal_eigenpair(op: OperatorMatrix) -> EigenSolution:
     """Top eigenvalue and positive eigenvector of a built generator."""
     grid = op.grid
     mat = op.matrix
-    spectrum = np.linalg.eigvalsh(mat)
-    gap = float(spectrum[-1] - spectrum[-2])
+    second, first = _top_two_eigenvalues(mat)
+    gap = float(first - second)
     if gap <= 1e-12:
         raise DegenerateGap(
             f"spectral gap {gap:.3e} is not resolvably positive"
         )
-    vec = _inverse_iteration(mat, float(spectrum[-1]), np.ones(grid.n))
-    if vec.mean() < 0:
-        vec = -vec
+    shift = float(first) + 1e-8 * max(1.0, abs(float(first)))
+    lu = splu((mat - shift * sp.eye_array(grid.n)).tocsc())
+    vec = inverse_iteration(lu.solve, np.ones(grid.n))
     if np.any(vec <= 0.0):
         raise PositivityViolation(
             "principal eigenvector is not positive at every node"
         )
-    # Rayleigh quotient of the refined vector beats the raw eigvalsh value.
+    # Rayleigh quotient of the refined vector beats the raw Lanczos value.
     lam = float(vec @ (mat @ vec) / (vec @ vec))
     vec = vec / np.sqrt(grid.h * np.sum(vec**2))
     residual = np.max(np.abs(mat @ vec - lam * vec)) / np.max(np.abs(vec))

@@ -18,6 +18,13 @@ Fourier-discretized operator for the same potential (seeded by the main
 eigenpair), which restores the telescoping identity down to the remaining
 eigenvalue offset; the identity check scales its tolerance by that computable
 offset.
+
+The companion solve never forms a matrix.  The Fourier operator is applied
+by FFT, and each inverse-iteration system is solved by conjugate gradients
+preconditioned with the sparse LU of the shifted stencil operator.  The
+Fourier symbol -2 pi^2 m^2 lies below the stencil symbol -2 n^2 sin^2(pi m/n),
+so with the shift above the stencil's top eigenvalue both shifted systems are
+symmetric positive definite and each solve costs O(n log n).
 """
 
 from __future__ import annotations
@@ -25,11 +32,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
+import scipy.sparse as sp
+from scipy.sparse.linalg import LinearOperator, cg, splu
 
 from .grid import GridFunction, HarmonicSpec, PeriodicGrid, derivative, integrate
 from .mc import McConfig, simulate_paths
-from .spectral import EigenSolution, PositivityViolation, apply_laplacian_half
+from .spectral import (EigenSolution, NonConvergence, PositivityViolation,
+                       apply_laplacian_half, build_generator, inverse_iteration)
 
 __all__ = [
     "AdmissibleDrift",
@@ -53,10 +62,6 @@ __all__ = [
 
 class EntropyMismatch(RuntimeError):
     """The two discrete entropy forms disagree; differentiation or quadrature broke."""
-
-
-class NonConvergence(RuntimeError):
-    """The pressure ascent stalled with a non-negligible gradient."""
 
 
 @dataclass(frozen=True)
@@ -114,18 +119,6 @@ def potential_from_eigen(solution: EigenSolution) -> GridFunction:
                         solution.eigenvalue - rate)
 
 
-def _fourier_operator(V: GridFunction) -> np.ndarray:
-    """Dense symmetric matrix of f -> f''/2 + V f with Fourier differentiation."""
-    n = V.grid.n
-    k = 2.0 * np.pi * np.fft.rfftfreq(n, d=V.grid.h)
-    mat = np.fft.irfft(-(k**2)[:, None] * np.fft.rfft(np.eye(n), axis=0),
-                       n, axis=0)
-    mat = 0.25 * (mat + mat.T)  # symmetrize and halve
-    idx = np.arange(n)
-    mat[idx, idx] += V.values
-    return mat
-
-
 def admissible_from_eigen(solution: EigenSolution,
                           V: GridFunction | None = None) -> AdmissibleDrift:
     """Drift representation of the eigen-process, differentiation-consistent.
@@ -133,21 +126,32 @@ def admissible_from_eigen(solution: EigenSolution,
     Solves the Fourier-discretized operator for the same potential by inverse
     iteration seeded at the main eigenpair and returns the drift built from
     the log of that eigenvector.  Its pressure then reproduces the eigenvalue
-    up to the offset between the two discretizations.
+    up to the offset between the two discretizations.  Raises NonConvergence
+    if a conjugate-gradient solve stops short of its tolerance.
     """
     if V is None:
         V = potential_from_eigen(solution)
     grid = V.grid
-    mat = _fourier_operator(V)
+    n = grid.n
     shift = solution.eigenvalue + 1e-8 * max(1.0, abs(solution.eigenvalue))
-    lu = lu_factor(mat - shift * np.eye(grid.n))
-    u = solution.eigenfunction.values.copy()
-    u /= np.linalg.norm(u)
-    for _ in range(3):
-        u = lu_solve(lu, u)
-        u /= np.linalg.norm(u)
-    if u.mean() < 0:
-        u = -u
+
+    def shifted_fourier(x: np.ndarray) -> np.ndarray:
+        second = derivative(GridFunction(grid, x), 2).values
+        return (shift - V.values) * x - 0.5 * second
+
+    system = LinearOperator((n, n), matvec=shifted_fourier, dtype=float)
+    lu = splu((shift * sp.eye_array(n) - build_generator(V).matrix).tocsc())
+    preconditioner = LinearOperator((n, n), matvec=lu.solve, dtype=float)
+
+    def solve(b: np.ndarray) -> np.ndarray:
+        x, info = cg(system, b, rtol=1e-14, M=preconditioner)
+        if info != 0:
+            raise NonConvergence(
+                f"companion conjugate gradients stopped with info={info}"
+            )
+        return x
+
+    u = inverse_iteration(solve, solution.eigenfunction.values)
     if np.any(u <= 0):
         raise PositivityViolation(
             "companion eigenvector is not positive at every node"

@@ -35,3 +35,36 @@ def richardson_eigenvalue(potential: str) -> float:
     coarse = fd_top_eigenvalue(2048, potential)
     fine = fd_top_eigenvalue(4096, potential)
     return fine + (fine - coarse) / 3.0
+
+
+def fd_operator(n: int, potential: str) -> np.ndarray:
+    """Dense periodic stencil operator f''/2 + V f, assembled inline."""
+    h = 1.0 / n
+    x = np.arange(n) / n
+    idx = np.arange(n)
+    mat = np.zeros((n, n))
+    mat[idx, idx] = -2.0
+    mat[idx, (idx + 1) % n] = 1.0
+    mat[idx, (idx - 1) % n] = 1.0
+    mat *= 0.5 / h**2
+    mat[idx, idx] += _POTENTIALS[potential](x)
+    return mat
+
+
+def fourier_companion_drift(n: int, potential: str) -> np.ndarray:
+    """Drift (log u)' of the top eigenvector u of the dense Fourier operator.
+
+    The second derivative is the FFT of the identity times -k^2, symmetrized;
+    np.linalg.eigh gives u, and (log u)' is an FFT derivative with the
+    Nyquist mode dropped.
+    """
+    x = np.arange(n) / n
+    k = 2.0 * np.pi * np.fft.fftfreq(n, d=1.0 / n)
+    second = np.fft.ifft(-(k**2)[:, None] * np.fft.fft(np.eye(n), axis=0),
+                         axis=0).real
+    mat = 0.25 * (second + second.T) + np.diag(_POTENTIALS[potential](x))
+    u = np.linalg.eigh(mat)[1][:, -1]
+    u = u if u.sum() > 0 else -u
+    ik = 1j * k
+    ik[n // 2] = 0.0
+    return np.fft.ifft(ik * np.fft.fft(np.log(u))).real

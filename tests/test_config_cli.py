@@ -127,6 +127,15 @@ class TestCliCommands:
             outs.append((out / "propagate.json").read_bytes())
         assert outs[0] == outs[1]
 
+    def test_eigen_outputs_byte_identical_across_runs(self, tmp_path):
+        cfg = write_cfg(tmp_path, MINIMAL)
+        outs = []
+        for name in ("a", "b"):
+            out = tmp_path / name
+            assert main(["eigen", "--config", cfg, f"--run.out={out}"]) == 0
+            outs.append([(out / f).read_bytes() for f in ("eigen.json", "eigen.csv")])
+        assert outs[0] == outs[1]
+
     def test_propagate_pde_outputs(self, tmp_path):
         cfg = write_cfg(tmp_path, MINIMAL)
         out = tmp_path / "out"

@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
+from scipy.sparse.linalg import ArpackNoConvergence
 
 from fk_thermo import (DegenerateGap, GridFunction, HarmonicSpec,
-                       PositivityViolation, build_generator,
+                       NonConvergence, PositivityViolation, build_generator,
                        critical_point_count, derivative, eigen_probability,
                        gibbs_density, integrate, make_grid,
-                       principal_eigenpair)
+                       principal_eigenpair, spectral)
 from fk_thermo.spectral import OperatorMatrix, laplacian_half
 
 from conftest import random_harmonic
-from oracles import fd_top_eigenvalue, richardson_eigenvalue
+from oracles import fd_operator, fd_top_eigenvalue, richardson_eigenvalue
 
 
 def constant_potential(grid, c=0.0):
@@ -27,7 +28,7 @@ class TestBuildGenerator:
             [0.0, n2 / 2, -n2, n2 / 2],
             [n2 / 2, 0.0, n2 / 2, -n2],
         ])
-        assert np.array_equal(op.matrix, expected)
+        assert np.array_equal(op.matrix.toarray(), expected)
 
     def test_kills_constants(self, grid512, vcos512):
         op = build_generator(vcos512)
@@ -36,10 +37,27 @@ class TestBuildGenerator:
 
     def test_exact_symmetry(self, vcos512):
         op = build_generator(vcos512)
-        assert np.array_equal(op.matrix, op.matrix.T)
+        assert np.array_equal(op.matrix.toarray(), op.matrix.T.toarray())
 
     def test_laplacian_row_sums_vanish(self, grid512):
         assert np.max(np.abs(laplacian_half(grid512).sum(axis=1))) < 1e-12 * grid512.n**2
+
+    def test_matches_inline_oracle_stencil(self):
+        grid = make_grid(64)
+        V = HarmonicSpec(harmonics=[(1, 1.0, 0.0)]).sample(grid)
+        assert np.array_equal(build_generator(V).matrix.toarray(),
+                              fd_operator(64, "cos1"))
+
+    def test_storage_linear_in_n(self, vcos512):
+        m = build_generator(vcos512).matrix
+        assert m.nnz == 3 * 512
+        assert m.data.nbytes + m.indices.nbytes + m.indptr.nbytes <= 64 * 512
+
+    def test_asymmetric_matrix_rejected(self, grid512):
+        mat = laplacian_half(grid512).toarray()
+        mat[0, 5] = 1.0
+        with pytest.raises(ValueError, match="symmetric"):
+            OperatorMatrix(grid512, mat)
 
 
 class TestPrincipalEigenpair:
@@ -114,6 +132,27 @@ class TestPrincipalEigenpair:
         flat = OperatorMatrix(grid512, np.zeros((grid512.n, grid512.n)))
         with pytest.raises(DegenerateGap):
             principal_eigenpair(flat)
+
+    def test_spectral_gap_matches_oracle(self, eig_cos256):
+        top = np.linalg.eigvalsh(fd_operator(256, "cos1"))[-2:]
+        assert abs(eig_cos256.spectral_gap - (top[1] - top[0])) <= 1e-9
+
+    def test_repeat_solves_bit_identical(self, vcos512):
+        # ARPACK's default start vector is random and its generator state
+        # carries across calls; a fixed start vector makes solves repeatable.
+        op = build_generator(vcos512)
+        solves = [principal_eigenpair(op) for _ in range(4)]
+        assert len({s.spectral_gap for s in solves}) == 1
+        assert len({s.eigenvalue for s in solves}) == 1
+        assert len({s.eigenfunction.values.tobytes() for s in solves}) == 1
+
+    def test_lanczos_nonconvergence_raises(self, vcos512, monkeypatch):
+        def stalled(*args, **kwargs):
+            raise ArpackNoConvergence("no convergence", np.empty(0),
+                                      np.empty((512, 0)))
+        monkeypatch.setattr(spectral, "eigsh", stalled)
+        with pytest.raises(NonConvergence):
+            principal_eigenpair(build_generator(vcos512))
 
     def test_positivity_guard_raises(self, grid512):
         # Negated Laplacian: the top eigenvector is the most oscillatory mode.

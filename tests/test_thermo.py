@@ -2,15 +2,17 @@ import numpy as np
 import pytest
 
 from fk_thermo import (AdmissibleDrift, EntropyMismatch, GridFunction,
-                       HarmonicSpec, McConfig, admissible_from_eigen,
+                       HarmonicSpec, McConfig, NonConvergence,
+                       PositivityViolation, admissible_from_eigen,
                        admissible_from_spec, admissible_from_values,
                        build_generator, carre_du_champ, derivative,
                        entropy_finite_T_mc, gibbs_density, integrate,
                        make_entropy_report, make_grid, maximize_pressure,
                        pressure_gap, pressure_value, principal_eigenpair,
-                       relative_entropy)
+                       relative_entropy, thermo)
 
 from conftest import random_harmonic
+from oracles import fourier_companion_drift
 
 
 def zero_fn(grid):
@@ -268,3 +270,38 @@ class TestEigenConsistentDrift:
     def test_reference_close_to_plain_log_gradient(self, vcos512, eig_cos512):
         ad = admissible_from_eigen(eig_cos512, vcos512)
         assert np.max(np.abs(ad.drift.values - eig_cos512.drift.values)) < 1e-4
+
+    def test_drift_matches_dense_fourier_oracle(self, vcos256, eig_cos256):
+        ad = admissible_from_eigen(eig_cos256, vcos256)
+        oracle = fourier_companion_drift(256, "cos1")
+        assert np.max(np.abs(ad.drift.values - oracle)) <= 1e-9
+
+    @pytest.mark.parametrize("n", [4, 256, 4096])
+    def test_fourier_symbol_below_stencil_symbol(self, n):
+        # The CG preconditioner relies on sigma - A_F >= sigma - A_FD.
+        grid = make_grid(n)
+        unit = np.zeros(n)
+        unit[0] = 1.0
+        stencil = build_generator(zero_fn(grid)).matrix @ unit
+        fourier = 0.5 * derivative(GridFunction(grid, unit), 2).values
+        stencil_symbol = np.fft.rfft(stencil).real
+        fourier_symbol = np.fft.rfft(fourier).real
+        assert np.all(fourier_symbol <= stencil_symbol + 1e-12 * n**2)
+
+    def test_large_grid_eigenpair_and_companion(self):
+        grid = make_grid(65536)
+        V = HarmonicSpec(harmonics=[(1, 1.0, 0.0), (2, 0.0, 0.5)]).sample(grid)
+        sol = principal_eigenpair(build_generator(V))  # residual guard inside
+        ad = admissible_from_eigen(sol, V)
+        assert abs(pressure_value(ad, V) - sol.eigenvalue) <= 1e-7
+
+    def test_cg_nonconvergence_raises(self, vcos512, eig_cos512, monkeypatch):
+        monkeypatch.setattr(thermo, "cg", lambda A, b, **kw: (b, 1))
+        with pytest.raises(NonConvergence):
+            admissible_from_eigen(eig_cos512, vcos512)
+
+    def test_strong_potential_companion_not_positive(self, grid512):
+        V = GridFunction(grid512, 5000.0 * np.cos(2 * np.pi * grid512.nodes))
+        sol = principal_eigenpair(build_generator(V))
+        with pytest.raises(PositivityViolation):
+            admissible_from_eigen(sol, V)
