@@ -19,16 +19,16 @@ from .spectral import (DegenerateGap, EigenSolution, OperatorMatrix,
 from .feynman_kac import (PropagatorConfig, check_selfadjoint, propagate_mc,
                           propagate_pde)
 from .mc import McConfig, PathEnsemble, simulate_paths
-from .gibbs import (RnWeight, generator_apply, invariance_residual,
-                    normalized_semigroup, rn_weight, rn_weight_admissible,
+from .gibbs import (generator_apply, invariance_residual, normalized_semigroup,
                     rn_weights, rn_weights_admissible, simulate_sde,
                     tv_distance)
-from .thermo import (AdmissibleDrift, EntropyMismatch, EntropyReport,
-                     MaximizeResult, NonConvergence, admissible_from_eigen,
-                     admissible_from_spec, admissible_from_values,
-                     carre_du_champ, entropy_finite_T_mc, make_entropy_report,
-                     maximize_pressure, pressure_gap, pressure_value,
-                     relative_entropy)
+from .thermo import (AdmissibleDrift, DecompositionMismatch, EntropyMismatch,
+                     EntropyReport, MaximizeResult, NonConvergence,
+                     admissible_from_eigen, admissible_from_spec,
+                     admissible_from_values, carre_du_champ,
+                     entropy_finite_T_mc, make_entropy_report,
+                     maximize_pressure, pressure_decomposition, pressure_gap,
+                     pressure_value, relative_entropy)
 
 __all__ = [
     "GridFunction", "HarmonicSpec", "PeriodicGrid", "derivative",
@@ -38,12 +38,12 @@ __all__ = [
     "gibbs_density", "principal_eigenpair",
     "PropagatorConfig", "check_selfadjoint", "propagate_mc", "propagate_pde",
     "McConfig", "PathEnsemble", "simulate_paths",
-    "RnWeight", "generator_apply", "invariance_residual",
-    "normalized_semigroup", "rn_weight", "rn_weight_admissible", "rn_weights",
-    "rn_weights_admissible", "simulate_sde", "tv_distance",
-    "AdmissibleDrift", "EntropyMismatch", "EntropyReport", "MaximizeResult",
-    "NonConvergence", "admissible_from_eigen", "admissible_from_spec",
-    "admissible_from_values", "carre_du_champ", "entropy_finite_T_mc",
-    "make_entropy_report", "maximize_pressure", "pressure_gap",
+    "generator_apply", "invariance_residual", "normalized_semigroup",
+    "rn_weights", "rn_weights_admissible", "simulate_sde", "tv_distance",
+    "AdmissibleDrift", "DecompositionMismatch", "EntropyMismatch",
+    "EntropyReport", "MaximizeResult", "NonConvergence",
+    "admissible_from_eigen", "admissible_from_spec", "admissible_from_values",
+    "carre_du_champ", "entropy_finite_T_mc", "make_entropy_report",
+    "maximize_pressure", "pressure_decomposition", "pressure_gap",
     "pressure_value", "relative_entropy",
 ]

@@ -10,7 +10,7 @@ rejected with the offending line or key named.
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
+from dataclasses import make_dataclass
 
 from .grid import GridFunction, HarmonicSpec, PeriodicGrid, function_from_csv, make_grid
 
@@ -21,80 +21,43 @@ class ConfigError(ValueError):
     """Malformed or invalid run configuration."""
 
 
-_SCHEMA: dict[str, dict[str, type]] = {
-    "grid": {"n": int},
-    "potential": {"constant": float, "harmonics": list, "csv": str},
-    "run": {
-        "t": float,
-        "dt": float,
-        "T": float,
-        "paths": int,
-        "seed": int,
-        "K": int,
-        "lr": float,
-        "iters": int,
-        "bins": int,
-        "x": float,
-        "method": str,
-        "init": str,
-        "drift": str,
-        "out": str,
-        "save_paths": int,
-    },
-    "g": {"constant": float, "harmonics": list, "csv": str, "use": str},
-}
-
-_DEFAULTS: dict[tuple[str, str], object] = {
-    ("grid", "n"): 512,
-    ("potential", "constant"): 0.0,
-    ("run", "t"): 0.5,
-    ("run", "dt"): 1e-3,
-    ("run", "T"): 1.0,
-    ("run", "paths"): 10_000,
-    ("run", "seed"): 42,
-    ("run", "K"): 8,
-    ("run", "lr"): 0.2,
-    ("run", "iters"): 500,
-    ("run", "bins"): 64,
-    ("run", "x"): 0.25,
-    ("run", "method"): "pde",
-    ("run", "init"): "density:muV",
-    ("run", "drift"): "doob",
-    ("run", "out"): ".",
-    ("run", "save_paths"): 0,
-    ("g", "constant"): 0.0,
-    ("g", "use"): "spec",
-}
+# One row per key: (section, key, type, default).  The row order is the
+# meta.json echo order.  Keys of [grid] and [run] become RunConfig attributes
+# of the same name; those of [potential] and [g] get the section as a prefix.
+_SCHEMA: tuple[tuple[str, str, type, object], ...] = (
+    ("grid", "n", int, 512),
+    ("potential", "constant", float, 0.0),
+    ("potential", "harmonics", tuple, ()),
+    ("potential", "csv", str, None),
+    ("run", "t", float, 0.5),
+    ("run", "dt", float, 1e-3),
+    ("run", "T", float, 1.0),
+    ("run", "paths", int, 10_000),
+    ("run", "seed", int, 42),
+    ("run", "K", int, 8),
+    ("run", "lr", float, 0.2),
+    ("run", "iters", int, 500),
+    ("run", "bins", int, 64),
+    ("run", "x", float, 0.25),
+    ("run", "method", str, "pde"),
+    ("run", "init", str, "density:muV"),
+    ("run", "drift", str, "doob"),
+    ("run", "out", str, "."),
+    ("run", "save_paths", int, 0),
+    ("g", "constant", float, 0.0),
+    ("g", "harmonics", tuple, ()),
+    ("g", "csv", str, None),
+    ("g", "use", str, "spec"),
+)
+_TYPES = {(section, key): kind for section, key, kind, _ in _SCHEMA}
 
 
-@dataclass
-class RunConfig:
-    """Fully validated run configuration with defaults applied."""
+def _attribute(section: str, key: str) -> str:
+    return key if section in ("grid", "run") else f"{section}_{key}"
 
-    n: int = 512
-    potential_constant: float = 0.0
-    potential_harmonics: tuple = ()
-    potential_csv: str | None = None
-    t: float = 0.5
-    dt: float = 1e-3
-    T: float = 1.0
-    paths: int = 10_000
-    seed: int = 42
-    K: int = 8
-    lr: float = 0.2
-    iters: int = 500
-    bins: int = 64
-    x: float = 0.25
-    method: str = "pde"
-    init: str = "density:muV"
-    drift: str = "doob"
-    out: str = "."
-    save_paths: bool = False
-    g_constant: float = 0.0
-    g_harmonics: tuple = ()
-    g_csv: str | None = None
-    g_use: str = "spec"
-    raw: dict = field(default_factory=dict)
+
+class _RunConfigMethods:
+    """Builders and the meta.json echo; the fields come from _SCHEMA."""
 
     def build_grid(self) -> PeriodicGrid:
         return make_grid(self.n)
@@ -114,43 +77,33 @@ class RunConfig:
 
     def resolved(self) -> dict:
         """Plain dict echo of every effective setting, for meta.json."""
-        return {
-            "grid": {"n": self.n},
-            "potential": {
-                "constant": self.potential_constant,
-                "harmonics": [list(h) for h in self.potential_harmonics],
-                "csv": self.potential_csv,
-            },
-            "run": {
-                "t": self.t,
-                "dt": self.dt,
-                "T": self.T,
-                "paths": self.paths,
-                "seed": self.seed,
-                "K": self.K,
-                "lr": self.lr,
-                "iters": self.iters,
-                "bins": self.bins,
-                "x": self.x,
-                "method": self.method,
-                "init": self.init,
-                "drift": self.drift,
-                "out": self.out,
-                "save_paths": int(self.save_paths),
-            },
-            "g": {
-                "constant": self.g_constant,
-                "harmonics": [list(h) for h in self.g_harmonics],
-                "csv": self.g_csv,
-                "use": self.g_use,
-            },
-        }
+        out: dict[str, dict] = {}
+        for section, key, kind, _ in _SCHEMA:
+            value = getattr(self, _attribute(section, key))
+            if kind is tuple:
+                value = [list(h) for h in value]
+            out.setdefault(section, {})[key] = value
+        return out
+
+
+RunConfig = make_dataclass(
+    "RunConfig",
+    [(_attribute(section, key), kind) for section, key, kind, _ in _SCHEMA]
+    + [("raw", dict)],
+    bases=(_RunConfigMethods,),
+    namespace={
+        "__module__": __name__,
+        "__doc__": "Fully validated run configuration with defaults applied.\n\n"
+                   "One attribute per _SCHEMA row, plus raw: the entries given "
+                   "explicitly, as {'section.key': value}.",
+    },
+)
 
 
 def _parse_value(section: str, key: str, text: str, where: str):
-    expected = _SCHEMA[section][key]
+    expected = _TYPES[(section, key)]
     text = text.strip()
-    if expected is list:
+    if expected is tuple:
         try:
             parsed = ast.literal_eval(text)
         except (ValueError, SyntaxError) as exc:
@@ -182,7 +135,7 @@ def _entries_from_text(text: str) -> dict[tuple[str, str], object]:
         where = f"line {lineno}"
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip()
-            if section not in _SCHEMA:
+            if not any(section == row[0] for row in _SCHEMA):
                 raise ConfigError(f"{where}: unknown section [{section}]")
             continue
         if "=" not in line:
@@ -191,7 +144,7 @@ def _entries_from_text(text: str) -> dict[tuple[str, str], object]:
             raise ConfigError(f"{where}: entry before any [section] header")
         key, _, value_text = line.partition("=")
         key = key.strip()
-        if key not in _SCHEMA[section]:
+        if (section, key) not in _TYPES:
             raise ConfigError(f"{where}: unknown key {key!r} in section [{section}]")
         if (section, key) in entries:
             raise ConfigError(
@@ -206,17 +159,17 @@ def parse_override(token: str) -> tuple[str, str, object]:
     body = token[2:] if token.startswith("--") else token
     dotted, eq, value_text = body.partition("=")
     section, dot, key = dotted.partition(".")
-    if not eq or not dot or section not in _SCHEMA or key not in _SCHEMA.get(section, {}):
+    if not eq or not dot or (section, key) not in _TYPES:
         raise ConfigError(f"bad override {token!r}; expected --section.key=value")
     return section, key, _parse_value(section, key, value_text, f"override {token}")
 
 
 def _validate(entries: dict[tuple[str, str], object]) -> RunConfig:
-    merged = dict(_DEFAULTS)
+    merged = {(section, key): default for section, key, _, default in _SCHEMA}
     merged.update(entries)
 
-    def get(section: str, key: str, default=None):
-        return merged.get((section, key), default)
+    def get(section: str, key: str):
+        return merged[(section, key)]
 
     def check(cond: bool, message: str) -> None:
         if not cond:
@@ -227,7 +180,7 @@ def _validate(entries: dict[tuple[str, str], object]) -> RunConfig:
           f"grid.n must be even and >= 4, got {n}")
 
     def harmonics_tuple(section: str):
-        raw = get(section, "harmonics", ())
+        raw = get(section, "harmonics")
         out = []
         for item in raw:
             check(len(item) == 3, f"{section}.harmonics entries must be [k,a,b]")
@@ -241,8 +194,8 @@ def _validate(entries: dict[tuple[str, str], object]) -> RunConfig:
         check(len(ks) == len(set(ks)), f"{section}.harmonics has duplicate wavenumbers")
         return tuple(out)
 
-    pot_h = harmonics_tuple("potential")
-    g_h = harmonics_tuple("g")
+    for section in ("potential", "g"):
+        merged[(section, "harmonics")] = harmonics_tuple(section)
 
     dt = get("run", "dt")
     check(dt > 0, f"run.dt must be positive, got {dt}")
@@ -287,29 +240,8 @@ def _validate(entries: dict[tuple[str, str], object]) -> RunConfig:
     check(save_paths in (0, 1), f"run.save_paths must be 0 or 1, got {save_paths}")
 
     return RunConfig(
-        n=n,
-        potential_constant=float(get("potential", "constant")),
-        potential_harmonics=pot_h,
-        potential_csv=get("potential", "csv"),
-        t=float(t),
-        dt=float(dt),
-        T=float(T),
-        paths=paths,
-        seed=seed,
-        K=K,
-        lr=float(lr),
-        iters=iters,
-        bins=bins,
-        x=float(get("run", "x")),
-        method=method,
-        init=init,
-        drift=drift,
-        out=get("run", "out"),
-        save_paths=bool(save_paths),
-        g_constant=float(get("g", "constant")),
-        g_harmonics=g_h,
-        g_csv=get("g", "csv"),
-        g_use=use,
+        **{_attribute(section, key): merged[(section, key)]
+           for section, key, _, _ in _SCHEMA},
         raw={f"{s}.{k}": v for (s, k), v in entries.items()},
     )
 

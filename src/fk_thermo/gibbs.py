@@ -11,8 +11,6 @@ version of the coboundary identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .feynman_kac import PropagatorConfig, propagate_pde
@@ -21,31 +19,17 @@ from .mc import McConfig, PathEnsemble, simulate_paths
 from .spectral import EigenSolution, apply_laplacian_half, gibbs_density
 
 __all__ = [
-    "RnWeight",
     "normalized_semigroup",
     "generator_apply",
     "invariance_residual",
     "simulate_sde",
     "drift_weight_integrand",
-    "rn_weight",
     "rn_weights",
-    "rn_weight_admissible",
     "rn_weights_admissible",
     "histogram_density",
     "bin_density",
     "tv_distance",
 ]
-
-
-@dataclass(frozen=True)
-class RnWeight:
-    """Radon-Nikodym weight of one path; positive and finite by contract."""
-
-    value: float
-
-    def __post_init__(self) -> None:
-        if not (np.isfinite(self.value) and self.value > 0):
-            raise ValueError(f"path weight must be positive and finite, got {self.value}")
 
 
 def normalized_semigroup(solution: EigenSolution, V: GridFunction,
@@ -124,12 +108,6 @@ def rn_weights(ens: PathEnsemble, solution: EigenSolution,
     return np.exp(end - start - (solution.eigenvalue * t - vint))
 
 
-def rn_weight(ens: PathEnsemble, index: int, solution: EigenSolution,
-              t: float | None = None) -> RnWeight:
-    """Eigen-form Radon-Nikodym weight of one path of the ensemble."""
-    return RnWeight(float(rn_weights(ens, solution, t)[index]))
-
-
 def rn_weights_admissible(ens: PathEnsemble, g: GridFunction,
                           t: float | None = None) -> np.ndarray:
     """Drift-potential path weights exp(g(end) - g(start) - int rate), vectorized.
@@ -149,12 +127,6 @@ def rn_weights_admissible(ens: PathEnsemble, g: GridFunction,
     start = g.interp(ens.positions[:, 0])
     end = g.interp(ens.positions[:, -1])
     return np.exp(end - start - integral)
-
-
-def rn_weight_admissible(ens: PathEnsemble, index: int, g: GridFunction,
-                         t: float | None = None) -> RnWeight:
-    """Drift-potential Radon-Nikodym weight of one path of the ensemble."""
-    return RnWeight(float(rn_weights_admissible(ens, g, t)[index]))
 
 
 def histogram_density(samples: np.ndarray, bins: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

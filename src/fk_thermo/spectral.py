@@ -178,7 +178,7 @@ def principal_eigenpair(op: OperatorMatrix) -> EigenSolution:
     # eps * |A| ~ 2 eps n^2 governs and the guard scales with it.
     bound = max(1e-9, 6.0 * np.finfo(float).eps * grid.n**2)
     if residual > bound:
-        raise RuntimeError(
+        raise NonConvergence(
             f"eigenpair residual {residual:.3e} exceeds {bound:.3e}"
         )
     F = GridFunction(grid, vec)

@@ -42,6 +42,7 @@ from .spectral import (EigenSolution, NonConvergence, PositivityViolation,
 
 __all__ = [
     "AdmissibleDrift",
+    "DecompositionMismatch",
     "EntropyReport",
     "EntropyMismatch",
     "NonConvergence",
@@ -54,6 +55,7 @@ __all__ = [
     "relative_entropy",
     "entropy_finite_T_mc",
     "pressure_value",
+    "pressure_decomposition",
     "pressure_gap",
     "make_entropy_report",
     "maximize_pressure",
@@ -62,6 +64,14 @@ __all__ = [
 
 class EntropyMismatch(RuntimeError):
     """The two discrete entropy forms disagree; differentiation or quadrature broke."""
+
+
+class DecompositionMismatch(RuntimeError):
+    """eigenvalue - pressure differs from the quadratic gap beyond the offset.
+
+    The potential passed does not belong to the eigenpair, or differentiation
+    or quadrature broke.
+    """
 
 
 @dataclass(frozen=True)
@@ -210,6 +220,35 @@ def pressure_value(ad: AdmissibleDrift, V: GridFunction) -> float:
     return relative_entropy(ad) + integrate(V * ad.density)
 
 
+def pressure_decomposition(
+    ads: list[AdmissibleDrift],
+    reference: AdmissibleDrift,
+    V: GridFunction,
+    eigenvalue: float,
+    residual_eigenvalue: float | None = None,
+) -> tuple[list[float], list[float], float]:
+    """Check lambda - P(g) = 1/2 int (g*' - g')^2 mu_g for each drift in ads.
+
+    Returns (gaps, residuals, tolerance): the quadratic gap of each drift
+    against the reference drift g*, the residual |lambda - P(g) - gap| of
+    each, and the tolerance max(1e-8, 4 offset + 1e-9), where the offset
+    |lambda - P(reference)| is the documented discretization defect.
+    residual_eigenvalue, when given, replaces lambda in the residuals only,
+    so a fault injected there cannot widen the tolerance.
+    """
+    offset = abs(eigenvalue - pressure_value(reference, V))
+    tolerance = max(1e-8, 4.0 * offset + 1e-9)
+    if residual_eigenvalue is None:
+        residual_eigenvalue = eigenvalue
+    gaps, residuals = [], []
+    for ad in ads:
+        diff = reference.drift - ad.drift
+        gap = 0.5 * integrate(diff * diff * ad.density)
+        gaps.append(gap)
+        residuals.append(abs(residual_eigenvalue - pressure_value(ad, V) - gap))
+    return gaps, residuals, tolerance
+
+
 def pressure_gap(ad: AdmissibleDrift, solution: EigenSolution,
                  reference: AdmissibleDrift | None = None,
                  V: GridFunction | None = None) -> float:
@@ -217,21 +256,17 @@ def pressure_gap(ad: AdmissibleDrift, solution: EigenSolution,
 
     Computes the invariant average of (reference drift - drift)^2 / 2 and
     verifies that it reproduces eigenvalue - pressure up to the documented
-    discretization offset (raising if the algebra is broken).  Pass the
-    reference drift representation explicitly when calling in a loop.
+    discretization offset, raising DecompositionMismatch otherwise.  Pass
+    the reference drift representation explicitly when calling in a loop.
     """
     if V is None:
         V = potential_from_eigen(solution)
     if reference is None:
         reference = admissible_from_eigen(solution, V)
-    diff = reference.drift - ad.drift
-    gap = 0.5 * integrate(diff * diff * ad.density)
-    lam = solution.eigenvalue
-    offset = abs(lam - pressure_value(reference, V))
-    tolerance = max(1e-8, 4.0 * offset + 1e-9)
-    mismatch = abs(lam - pressure_value(ad, V) - gap)
+    (gap,), (mismatch,), tolerance = pressure_decomposition(
+        [ad], reference, V, solution.eigenvalue)
     if mismatch > tolerance:
-        raise RuntimeError(
+        raise DecompositionMismatch(
             f"pressure decomposition off by {mismatch:.3e} "
             f"(allowed {tolerance:.3e})"
         )

@@ -1,8 +1,11 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from fk_thermo import __version__
 from fk_thermo.cli import main, run_verify
 from fk_thermo.config import ConfigError, parse_config
 
@@ -12,6 +15,37 @@ n = 256
 
 [potential]
 harmonics = [[1, 1, 0]]
+"""
+
+# Every key set to a value other than its default.
+NON_DEFAULT = """
+[grid]
+n = 16
+[potential]
+constant = 0.25
+harmonics = [[1, 0.5, 0], [3, 0, 0.25]]
+csv = pot.csv
+[run]
+t = 0.25
+dt = 0.002
+T = 0.5
+paths = 300
+seed = 7
+K = 3
+lr = 0.1
+iters = 7
+bins = 8
+x = 0.4
+method = mc
+init = point:0.125
+drift = g-spec
+out = meta_out
+save_paths = 1
+[g]
+constant = 0.5
+harmonics = [[2, 0.1, 0.2]]
+csv = g.csv
+use = doob
 """
 
 
@@ -92,6 +126,26 @@ class TestParseConfig:
     def test_bins_must_divide_n(self):
         with pytest.raises(ConfigError, match="bins"):
             parse_config("[grid]\nn = 256\n[run]\nbins = 100\n")
+
+    def test_readme_example_matches_defaults(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+        example = parse_config(block).resolved()
+        defaults = parse_config("").resolved()
+        keys = {(section, key) for section in defaults for key in defaults[section]}
+        assert example["potential"].pop("harmonics") == [[1, 1.0, 0.0]]
+        defaults["potential"].pop("harmonics")
+        assert example == defaults
+        # Keys without a printable default (the csv paths) appear commented.
+        listed, section = set(), None
+        for line in block.splitlines():
+            header = re.match(r"\[(\w+)\]", line)
+            entry = re.match(r"#?\s*(\w+)\s*=", line)
+            if header:
+                section = header.group(1)
+            elif entry:
+                listed.add((section, entry.group(1)))
+        assert listed == keys
 
 
 def write_cfg(tmp_path, text):
@@ -195,6 +249,41 @@ class TestCliCommands:
         assert abs(report["pressure"]) < 1e-6
         lines = (out / "trace.csv").read_text().splitlines()
         assert lines[0] == "iter,value,grad_norm"
+
+    def test_meta_json_bytes(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["eigen"]) == 0
+        assert Path("meta.json").read_text() == (
+            '{"command": "eigen", "version": "%s", "config": {'
+            '"grid": {"n": 512}, '
+            '"potential": {"constant": 0, "harmonics": [], "csv": null}, '
+            '"run": {"t": 0.5, "dt": 0.001, "T": 1, "paths": 10000, '
+            '"seed": 42, "K": 8, "lr": 0.2, "iters": 500, "bins": 64, '
+            '"x": 0.25, "method": "pde", "init": "density:muV", '
+            '"drift": "doob", "out": ".", "save_paths": 0}, '
+            '"g": {"constant": 0, "harmonics": [], "csv": null, '
+            '"use": "spec"}}}\n' % __version__)
+
+        defaults = parse_config("").resolved()
+        changed = parse_config(NON_DEFAULT).resolved()
+        for section, keys in defaults.items():
+            for key, value in keys.items():
+                assert changed[section][key] != value, f"{section}.{key}"
+        Path("pot.csv").write_text("x,value\n" + "".join(
+            f"{i / 16!r},{float(np.cos(np.pi * i / 8))!r}\n" for i in range(16)))
+        Path("run.cfg").write_text(NON_DEFAULT)
+        assert main(["eigen", "--config", "run.cfg"]) == 0
+        assert Path("meta_out/meta.json").read_text() == (
+            '{"command": "eigen", "version": "%s", "config": {'
+            '"grid": {"n": 16}, '
+            '"potential": {"constant": 0.25, '
+            '"harmonics": [[1, 0.5, 0], [3, 0, 0.25]], "csv": "pot.csv"}, '
+            '"run": {"t": 0.25, "dt": 0.002, "T": 0.5, "paths": 300, '
+            '"seed": 7, "K": 3, "lr": 0.1, "iters": 7, "bins": 8, '
+            '"x": 0.4, "method": "mc", "init": "point:0.125", '
+            '"drift": "g-spec", "out": "meta_out", "save_paths": 1}, '
+            '"g": {"constant": 0.5, "harmonics": [[2, 0.1, 0.2]], '
+            '"csv": "g.csv", "use": "doob"}}}\n' % __version__)
 
     def test_config_error_exit_code(self, tmp_path):
         cfg = write_cfg(tmp_path, "[grid]\nn = 255\n")

@@ -5,8 +5,8 @@ from fk_thermo import (EigenSolution, GridFunction, HarmonicSpec, McConfig,
                        build_generator, derivative, generator_apply,
                        gibbs_density, integrate, invariance_residual,
                        make_grid, normalized_semigroup, principal_eigenpair,
-                       rn_weight, rn_weight_admissible, rn_weights,
-                       rn_weights_admissible, simulate_sde, tv_distance)
+                       rn_weights, rn_weights_admissible, simulate_sde,
+                       tv_distance)
 from fk_thermo.gibbs import bin_density, drift_weight_integrand, histogram_density
 from fk_thermo.mc import sample_from_density
 
@@ -161,7 +161,6 @@ class TestRnWeights:
                            record_stride=None)
         weights = rn_weights(ens, sol)
         assert np.all(weights == 1.0)
-        assert rn_weight(ens, 5, sol).value == 1.0
 
     def test_martingale_mean(self, vcos512, eig_cos512):
         cfg = McConfig(n_paths=20_000, dt=1e-3, seed=72)
@@ -192,8 +191,6 @@ class TestRnWeights:
                              np.log(eig_cos512.eigenfunction.values))
         drift_form = rn_weights_admissible(ens, log_f)
         assert np.max(np.abs(eigen_form / drift_form - 1.0)) < 1e-9
-        one = rn_weight_admissible(ens, 3, log_f)
-        assert one.value == pytest.approx(drift_form[3], abs=0)
 
     def test_missing_potential_rejected(self, grid512, eig_cos512):
         cfg = McConfig(n_paths=10, dt=1e-3, seed=75)

@@ -154,6 +154,14 @@ class TestPrincipalEigenpair:
         with pytest.raises(NonConvergence):
             principal_eigenpair(build_generator(vcos512))
 
+    def test_residual_guard_raises_nonconvergence(self, vcos512, monkeypatch):
+        # A positive vector that is not an eigenvector trips the residual guard.
+        def wrong_vector(solve, start):
+            return 2.0 + np.sin(2 * np.pi * vcos512.grid.nodes)
+        monkeypatch.setattr(spectral, "inverse_iteration", wrong_vector)
+        with pytest.raises(NonConvergence, match="residual"):
+            principal_eigenpair(build_generator(vcos512))
+
     def test_positivity_guard_raises(self, grid512):
         # Negated Laplacian: the top eigenvector is the most oscillatory mode.
         op = OperatorMatrix(grid512, -laplacian_half(grid512))

@@ -1,15 +1,17 @@
 import numpy as np
 import pytest
 
-from fk_thermo import (AdmissibleDrift, EntropyMismatch, GridFunction,
-                       HarmonicSpec, McConfig, NonConvergence,
+from fk_thermo import (AdmissibleDrift, DecompositionMismatch,
+                       EntropyMismatch, GridFunction, HarmonicSpec, McConfig,
+                       NonConvergence,
                        PositivityViolation, admissible_from_eigen,
                        admissible_from_spec, admissible_from_values,
                        build_generator, carre_du_champ, derivative,
                        entropy_finite_T_mc, gibbs_density, integrate,
                        make_entropy_report, make_grid, maximize_pressure,
-                       pressure_gap, pressure_value, principal_eigenpair,
-                       relative_entropy, thermo)
+                       pressure_decomposition, pressure_gap,
+                       pressure_value, principal_eigenpair, relative_entropy,
+                       thermo)
 
 from conftest import random_harmonic
 from oracles import fourier_companion_drift
@@ -218,6 +220,35 @@ class TestPressure:
             assert gap >= 0
             residual = abs(sol.eigenvalue - pressure_value(ad, V) - gap)
             assert residual <= max(1e-8, 4 * offset + 1e-9)
+
+    def test_residual_eigenvalue_moves_residuals_not_tolerance(self, eig_cos1024):
+        V, sol = eig_cos1024
+        reference = admissible_from_eigen(sol, V)
+        rng = np.random.default_rng(99)
+        ads = [admissible_from_values(random_harmonic(V.grid, rng))
+               for _ in range(3)]
+        gaps, residuals, tolerance = pressure_decomposition(
+            ads, reference, V, sol.eigenvalue)
+        _, faulty, faulty_tolerance = pressure_decomposition(
+            ads, reference, V, sol.eigenvalue, sol.eigenvalue + 1e-3)
+        assert faulty_tolerance == tolerance
+        assert max(residuals) <= tolerance < min(faulty)
+        assert gaps == [pressure_gap(ad, sol, reference=reference, V=V)
+                        for ad in ads]
+
+    def test_foreign_potential_raises_decomposition_mismatch(self, vcos256,
+                                                             eig_cos256):
+        # The eigenpair belongs to cos 2 pi x; a bump added to the potential
+        # breaks the decomposition by 1.195 against an allowed 0.908.
+        x = vcos256.grid.nodes
+        bumped = vcos256 + GridFunction(vcos256.grid,
+                                        2.0 * np.exp(-(x - 0.5) ** 2 / 0.005))
+        reference = admissible_from_eigen(eig_cos256, vcos256)
+        ad = admissible_from_values(GridFunction(vcos256.grid,
+                                                 -3.0 * np.cos(2 * np.pi * x)))
+        with pytest.raises(DecompositionMismatch, match="off by"):
+            pressure_gap(ad, eig_cos256, reference=reference, V=bumped)
+        assert issubclass(DecompositionMismatch, RuntimeError)
 
     def test_entropy_report_fields(self, vcos512, eig_cos512):
         ad = admissible_from_eigen(eig_cos512, vcos512)
