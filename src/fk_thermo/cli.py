@@ -6,7 +6,10 @@ its outputs, and emits deterministic CSV/JSON (fixed float formatting, fixed
 key order), so identical configs reproduce byte-identical files.
 
 Exit codes: 0 success / all checks pass, 1 verification failure, 2 usage or
-configuration error.
+configuration error, 3 named numerical failure (NonConvergence,
+PositivityViolation, DegenerateGap, DecompositionMismatch or
+EntropyMismatch), reported as one "fk-thermo: <Name>: <message>" line on
+stderr.
 """
 
 from __future__ import annotations
@@ -25,14 +28,18 @@ from .gibbs import (bin_density, histogram_density, normalized_semigroup,
 from .grid import GridFunction, function_from_csv, integrate
 from .mc import McConfig
 from .serialize import write_csv, write_json
-from .spectral import (build_generator, critical_point_count, gibbs_density,
+from .spectral import (DegenerateGap, NonConvergence, PositivityViolation,
+                       build_generator, critical_point_count, gibbs_density,
                        principal_eigenpair)
-from .thermo import (admissible_from_eigen, admissible_from_spec,
+from .thermo import (DecompositionMismatch, EntropyMismatch,
+                     admissible_from_eigen, admissible_from_spec,
                      admissible_from_values, make_entropy_report,
                      maximize_pressure, pressure_decomposition,
                      relative_entropy)
 
 _COMMANDS = ("eigen", "propagate", "simulate", "entropy", "maximize", "verify")
+_NUMERICAL_FAILURES = (NonConvergence, PositivityViolation, DegenerateGap,
+                       DecompositionMismatch, EntropyMismatch)
 
 
 def _solve(cfg: RunConfig):
@@ -371,6 +378,9 @@ def main(argv=None) -> int:
         # precondition violations surfaced by the library are usage errors
         print(f"fk-thermo: {exc}", file=sys.stderr)
         return 2
+    except _NUMERICAL_FAILURES as exc:
+        print(f"fk-thermo: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -6,6 +6,13 @@ on (seed, index).  Estimates assembled from per-path values are therefore
 bit-identical no matter how the work is chunked or scheduled.  Every path
 draws one uniform first (used for initial-law sampling when requested) and
 then its Gaussian increments.
+
+Increments are streamed: a block of paths keeps its streams open and draws
+a chunk of steps at a time into one reused buffer, so memory is
+O(block x chunk) plus the recorded positions, independent of the horizon.
+Wide blocks read drift and potential through one shared index lookup per
+step, narrow ones through np.interp (see simulate_paths); both give
+np.interp's bits, and a stream drawn in pieces equals one drawn whole.
 """
 
 from __future__ import annotations
@@ -13,13 +20,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .grid import GridFunction, PeriodicGrid
 
 __all__ = ["McConfig", "PathEnsemble", "path_generator", "simulate_paths",
            "sample_from_density"]
 
-_MAX_POSITION_DOUBLES = 300_000_000  # ~2.4 GB guard for recorded positions
+_MAX_DOUBLES = 300_000_000  # ~2.4 GB guard: recorded positions plus increments
+_CHUNK_DOUBLES = 1 << 21  # 16 MiB increment buffer per block of paths
+# Narrowest block stepped by the index lookup.  The lookup costs a fixed
+# 10-20 us per step plus a few ns per point; np.interp searches every point
+# (30-100 ns each, more on finer grids), so it wins on narrow blocks.  The
+# measured crossover sits at 400-800 points for grids of 64 to 4096 nodes.
+_LOOKUP_MIN_PATHS = 512
 
 
 @dataclass(frozen=True)
@@ -39,9 +53,29 @@ class McConfig:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
 
 
+class _PhiloxKey(ISeedSequence):
+    """A run seed handed to Philox as its 128-bit key, word for word.
+
+    Philox(_PhiloxKey(seed)) is the generator Philox(key=seed) builds,
+    without the OS-entropy SeedSequence that key= creates and never reads,
+    which is most of the cost of one path's stream.  One key serves every
+    path of a run.
+    """
+
+    def __init__(self, seed: int) -> None:
+        self._words = np.array([seed & (2**64 - 1), seed >> 64], dtype=np.uint64)
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self._words
+
+    def stream(self, index: int) -> np.random.Generator:
+        """The stream of path index: the Philox counter starts at index << 128."""
+        return np.random.Generator(np.random.Philox(self, counter=index << 128))
+
+
 def path_generator(seed: int, index: int) -> np.random.Generator:
     """Stream for one path: Philox keyed by seed, counter offset by index."""
-    return np.random.Generator(np.random.Philox(key=seed, counter=index << 128))
+    return _PhiloxKey(seed).stream(index)
 
 
 @dataclass(frozen=True)
@@ -107,8 +141,43 @@ def sample_from_density(density: GridFunction, uniforms: np.ndarray) -> np.ndarr
 
 
 def _wrap(x: np.ndarray) -> np.ndarray:
-    x = x % 1.0
-    return np.where(x >= 1.0, x - 1.0, x)
+    """Map onto [0, 1) in place.
+
+    x - floor(x) has the bits of x % 1.0 for every finite x (the fraction
+    is exact, and for x < 0 both round frac + 1 once) without the division
+    np.remainder spends per element; a tiny negative x rounds up to 1.0,
+    which wraps to 0.0.
+    """
+    x -= np.floor(x)
+    np.subtract(x, 1.0, out=x, where=x >= 1.0)
+    return x
+
+
+def _cell_index(x: np.ndarray, xp: np.ndarray) -> np.ndarray:
+    """Cell of each point of [0, 1]: the i with xp[i] <= x < xp[i + 1].
+
+    xp is the n grid nodes followed by 1.0.  floor(x n) can miss the cell
+    by one where x n rounds across an integer, or where the node i/n
+    itself rounds, so one comparison on each side settles it; x = 1.0 lands
+    on i = n, as in np.interp.
+    """
+    n = xp.size - 1
+    i = (x * n).astype(np.intp)
+    np.minimum(i, n - 1, out=i)
+    i -= xp[i] > x
+    i += xp[i + 1] <= x
+    return i
+
+
+def _slopes(table: np.ndarray, xp: np.ndarray) -> np.ndarray:
+    """np.interp's per-cell slopes, plus a zero slope for the cell at x = 1."""
+    return np.concatenate([np.diff(table) / np.diff(xp), [0.0]])
+
+
+def _lerp(table: np.ndarray, slope: np.ndarray, i: np.ndarray,
+          offset: np.ndarray) -> np.ndarray:
+    """np.interp's formula in cell i at offset x - xp[i]: the same bits."""
+    return slope[i] * offset + table[i]
 
 
 def simulate_paths(
@@ -127,6 +196,18 @@ def simulate_paths(
     inverse CDF.  Off-node drift and potential values come from periodic
     linear interpolation.  record_stride controls which steps land in the
     ensemble (None records endpoints only); it must divide the step count.
+
+    Paths run in blocks of block_paths.  A block keeps its paths' streams
+    and draws their increments step chunk by step chunk into one reused
+    (block, chunk) buffer, chunk = max(1, _CHUNK_DOUBLES // block), so
+    memory is O(block x chunk) plus the recorded positions, whatever T is;
+    the guard counts both.  A block of at least _LOOKUP_MIN_PATHS paths
+    finds each step's grid cells once, by _cell_index, for drift and
+    potential alike, and evaluates np.interp's own formula
+    slope[i] (x - xp[i]) + table[i]; a narrower block, where np.interp's
+    per-point search costs less than the lookup's fixed per-step cost,
+    calls np.interp.  Both give the same bits, so the ensemble depends on
+    (seed, path index) alone, not on block_paths or the chunk size.
     """
     if not T > 0:
         raise ValueError(f"horizon must be positive, got {T}")
@@ -138,9 +219,11 @@ def simulate_paths(
     if stride < 1 or n_steps % stride != 0:
         raise ValueError(f"record_stride {stride} must divide {n_steps} steps")
     n_rec = n_steps // stride + 1
-    if cfg.n_paths * n_rec > _MAX_POSITION_DOUBLES:
-        raise ValueError("recorded positions would exceed the memory guard; "
-                         "increase record_stride")
+    widest = min(block_paths, cfg.n_paths)
+    chunk = min(n_steps, max(1, _CHUNK_DOUBLES // widest))
+    if cfg.n_paths * n_rec + widest * chunk > _MAX_DOUBLES:
+        raise ValueError("recorded positions and increment buffer would exceed "
+                         "the memory guard; increase record_stride")
 
     if isinstance(start, GridFunction) and start.grid != grid:
         raise ValueError("initial density lives on a different grid")
@@ -156,20 +239,21 @@ def simulate_paths(
         pot_table = np.concatenate([potential.values, potential.values[:1]])
 
     xp = np.concatenate([grid.nodes, [1.0]])
+    drift_slope = None if drift_table is None else _slopes(drift_table, xp)
+    pot_slope = None if pot_table is None else _slopes(pot_table, xp)
 
     positions = np.empty((cfg.n_paths, n_rec))
     integrals = np.zeros(cfg.n_paths) if pot_table is not None else None
     sqrt_dt = np.sqrt(cfg.dt)
+    normals = np.empty((widest, chunk))
+    key = _PhiloxKey(cfg.seed)
 
     for lo in range(0, cfg.n_paths, block_paths):
         hi = min(lo + block_paths, cfg.n_paths)
         nb = hi - lo
-        normals = np.empty((nb, n_steps))
-        uniforms = np.empty(nb)
-        for j in range(nb):
-            gen = path_generator(cfg.seed, lo + j)
-            uniforms[j] = gen.random()
-            normals[j] = gen.standard_normal(n_steps)
+        lookup = nb >= _LOOKUP_MIN_PATHS
+        gens = [key.stream(lo + j) for j in range(nb)]
+        uniforms = np.array([gen.random() for gen in gens])
         if isinstance(start, GridFunction):
             x = sample_from_density(start, uniforms)
         else:
@@ -178,16 +262,29 @@ def simulate_paths(
         positions[lo:hi, 0] = x
         acc = np.zeros(nb) if integrals is not None else None
         col = 1
-        for k in range(n_steps):
-            if acc is not None:
-                acc += np.interp(x, xp, pot_table) * cfg.dt
-            step = sqrt_dt * normals[:, k]
-            if drift_table is not None:
-                step = step + np.interp(x, xp, drift_table) * cfg.dt
-            x = _wrap(x + step)
-            if (k + 1) % stride == 0:
-                positions[lo:hi, col] = x
-                col += 1
+        for k0 in range(0, n_steps, chunk):
+            width = min(chunk, n_steps - k0)
+            for j, gen in enumerate(gens):
+                gen.standard_normal(out=normals[j, :width])
+            increments = normals[:nb, :width]
+            increments *= sqrt_dt
+            for k in range(width):
+                if lookup:
+                    i = _cell_index(x, xp)
+                    offset = x - xp[i]
+                if acc is not None:
+                    v = (_lerp(pot_table, pot_slope, i, offset) if lookup
+                         else np.interp(x, xp, pot_table))
+                    acc += v * cfg.dt
+                step = increments[:, k]
+                if drift_table is not None:
+                    b = (_lerp(drift_table, drift_slope, i, offset) if lookup
+                         else np.interp(x, xp, drift_table))
+                    step = step + b * cfg.dt
+                x = _wrap(x + step)
+                if (k0 + k + 1) % stride == 0:
+                    positions[lo:hi, col] = x
+                    col += 1
         if integrals is not None:
             integrals[lo:hi] = acc
 

@@ -68,3 +68,37 @@ def fourier_companion_drift(n: int, potential: str) -> np.ndarray:
     ik = 1j * k
     ik[n // 2] = 0.0
     return np.fft.ifft(ik * np.fft.fft(np.log(u))).real
+
+
+def euler_paths(drift, potential, start, n_steps: int, dt: float,
+                n_paths: int, seed: int, stride: int):
+    """Reference Euler walk on the circle, one whole-horizon draw per path.
+
+    drift and potential are node values on the grid i/n (or None); start is
+    a circle point or a map from each path's first uniform to its start.
+    Every path's increments are drawn up front from its own Philox stream
+    and tables are read by np.interp.  Returns (positions, integrals).
+    """
+    n = len(drift if drift is not None else potential)
+    xp = np.append(np.arange(n) / n, 1.0)
+    gens = [np.random.Generator(np.random.Philox(key=seed, counter=j << 128))
+            for j in range(n_paths)]
+    uniforms = np.array([g.random() for g in gens])
+    normals = np.array([g.standard_normal(n_steps) for g in gens])
+    if callable(start):
+        x = start(uniforms)
+    else:
+        x = np.full(n_paths, float(start) % 1.0)
+    rows = [x]
+    acc = np.zeros(n_paths)
+    for k in range(n_steps):
+        if potential is not None:
+            acc += np.interp(x, xp, np.append(potential, potential[0])) * dt
+        step = np.sqrt(dt) * normals[:, k]
+        if drift is not None:
+            step = step + np.interp(x, xp, np.append(drift, drift[0])) * dt
+        x = (x + step) % 1.0
+        x = np.where(x >= 1.0, x - 1.0, x)
+        if (k + 1) % stride == 0:
+            rows.append(x)
+    return np.stack(rows, axis=1), (acc if potential is not None else None)

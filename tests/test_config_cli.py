@@ -292,6 +292,15 @@ class TestCliCommands:
     def test_missing_config_file_exit_code(self):
         assert main(["eigen", "--config", "/nonexistent/run.cfg"]) == 2
 
+    def test_numerical_failure_exit_code(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, MINIMAL.replace("n = 256", "n = 128"))
+        out = tmp_path / "out"
+        assert main(["maximize", "--config", cfg, f"--run.out={out}",
+                     "--run.iters=7"]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("fk-thermo: NonConvergence: ")
+
 
 class TestVerify:
     def test_battery_passes(self, tmp_path):

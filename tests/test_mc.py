@@ -1,0 +1,114 @@
+"""Path engine: streamed increments, the index-lookup kernel, the memory guard."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+import fk_thermo.mc as mc
+from fk_thermo import McConfig, gibbs_density, make_grid, simulate_paths
+from fk_thermo.mc import sample_from_density
+
+from oracles import euler_paths
+
+
+@pytest.mark.parametrize("n", [6, 384, 512, 1000, 4098])
+def test_cell_lookup_matches_np_interp_bitwise(n):
+    xp = np.append(make_grid(n).nodes, 1.0)
+    rng = np.random.default_rng(n)
+    values = rng.standard_normal(n)
+    table = np.append(values, values[0])
+    x = np.concatenate([
+        rng.random(1_000_000),
+        xp,
+        np.nextafter(xp[1:], 0.0),
+        np.nextafter(xp[:-1], 1.0),
+        [np.nextafter(1.0, 0.0)],
+    ])
+    i = mc._cell_index(x, xp)
+    got = mc._lerp(table, mc._slopes(table, xp), i, x - xp[i])
+    assert np.array_equal(got, np.interp(x, xp, table))
+
+
+def test_wrap_matches_remainder_bitwise():
+    rng = np.random.default_rng(3)
+    ints = np.arange(-3.0, 4.0)
+    x = np.concatenate([
+        rng.uniform(-2.0, 2.0, 100_000),
+        rng.uniform(-1e-15, 1e-15, 10_000),
+        ints, np.nextafter(ints, -np.inf), np.nextafter(ints, np.inf),
+        [-0.0, -5e-324, 5e-324, -2.0**-54, -2.0**-53, 1.0 - 2.0**-53],
+    ])
+    reference = x % 1.0
+    reference = np.where(reference >= 1.0, reference - 1.0, reference)
+    got = mc._wrap(x.copy())
+    assert np.array_equal(got, reference)
+    assert np.array_equal(np.signbit(got), np.signbit(reference))
+    assert got.min() >= 0.0 and got.max() < 1.0
+
+
+@pytest.mark.parametrize("stride", [1, None])
+@pytest.mark.parametrize("block_paths, chunk_doubles", [
+    (20_000, None), (123, None), (20_000, 7), (123, 7), (20_000, 7 * 700),
+])
+def test_ensembles_identical_across_chunking(vcos512, eig_cos512, monkeypatch,
+                                             stride, block_paths,
+                                             chunk_doubles):
+    # 700 paths take the index lookup, blocks of 123 take np.interp; chunks
+    # of 1, 7 and 39 steps leave a ragged last chunk of the 100 steps.
+    if chunk_doubles is not None:
+        monkeypatch.setattr(mc, "_CHUNK_DOUBLES", chunk_doubles)
+    density = gibbs_density(eig_cos512)
+    cfg = McConfig(n_paths=700, dt=1e-3, seed=8)
+    ens = simulate_paths(vcos512.grid, eig_cos512.drift, density, 0.1, cfg,
+                         potential=vcos512, record_stride=stride,
+                         block_paths=block_paths)
+    positions, integrals = euler_paths(
+        eig_cos512.drift.values, vcos512.values,
+        lambda u: sample_from_density(density, u), 100, 1e-3, 700, 8,
+        100 if stride is None else stride)
+    assert np.array_equal(ens.positions, positions)
+    assert np.array_equal(ens.potential_integrals, integrals)
+
+
+def test_memory_flat_in_horizon(vcos512, eig_cos512, monkeypatch):
+    # chunks of 50 steps: quadrupling the horizon adds no increment memory
+    monkeypatch.setattr(mc, "_CHUNK_DOUBLES", 100 * 50)
+    cfg = McConfig(n_paths=100, dt=1e-3, seed=4)
+
+    def peak_bytes(T):
+        tracemalloc.start()
+        try:
+            simulate_paths(vcos512.grid, eig_cos512.drift, 0.3, T, cfg,
+                           potential=vcos512)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    short, long = peak_bytes(0.5), peak_bytes(2.0)
+    assert long - short < 64 * 1024  # whole-horizon draws would add 1.2 MB
+
+
+def test_memory_guard_refuses_before_allocating():
+    cfg = McConfig(n_paths=1_000_000, dt=1e-3, seed=1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="memory guard"):
+            simulate_paths(make_grid(512), None, 0.5, 1000.0, cfg,
+                           record_stride=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_memory_guard_counts_increment_buffer(monkeypatch):
+    # 10 endpoint-only paths over 1000 steps: 20 recorded doubles plus a
+    # 10 x 1000 increment buffer
+    grid = make_grid(64)
+    cfg = McConfig(n_paths=10, dt=1e-3, seed=1)
+    monkeypatch.setattr(mc, "_MAX_DOUBLES", 10_019)
+    with pytest.raises(ValueError, match="memory guard"):
+        simulate_paths(grid, None, 0.5, 1.0, cfg)
+    monkeypatch.setattr(mc, "_MAX_DOUBLES", 10_020)
+    assert simulate_paths(grid, None, 0.5, 1.0, cfg).positions.shape == (10, 2)
