@@ -25,7 +25,7 @@ from .config import ConfigError, RunConfig, parse_config
 from .feynman_kac import PropagatorConfig, check_selfadjoint, propagate_mc, propagate_pde
 from .gibbs import (bin_density, histogram_density, normalized_semigroup,
                     rn_weights, simulate_sde, tv_distance)
-from .grid import GridFunction, function_from_csv, integrate
+from .grid import GridFunction, HarmonicSpec, function_from_csv, integrate
 from .mc import McConfig
 from .serialize import write_csv, write_json
 from .spectral import (DegenerateGap, NonConvergence, PositivityViolation,
@@ -65,15 +65,6 @@ def _write_meta(cfg: RunConfig, out: Path, command: str) -> None:
 
 def _g_section_given(cfg: RunConfig) -> bool:
     return any(key.startswith("g.") for key in cfg.raw)
-
-
-def _random_harmonic(grid, rng, kmax: int = 4) -> GridFunction:
-    vals = np.zeros(grid.n)
-    x = grid.nodes
-    for k in range(1, kmax + 1):
-        a, b = rng.uniform(-1.0, 1.0, 2)
-        vals += a * np.cos(2 * np.pi * k * x) + b * np.sin(2 * np.pi * k * x)
-    return GridFunction(grid, vals)
 
 
 def cmd_eigen(cfg: RunConfig) -> int:
@@ -269,12 +260,18 @@ def run_verify(cfg: RunConfig, perturb_eigenvalue: float = 0.0):
     record("eigen_shift_lambda", worst_lam, 1e-9)
     record("eigen_shift_vector", worst_vec, 1e-9)
 
-    # Self-adjointness of the propagator in the flat inner product.
     rng = np.random.default_rng(cfg.seed)
+
+    def random_harmonic() -> GridFunction:
+        # wavenumbers 1-4, each (a, b) drawn uniform on [-1, 1] in turn
+        return HarmonicSpec(harmonics=[(k, *rng.uniform(-1.0, 1.0, 2))
+                                       for k in range(1, 5)]).sample(grid)
+
+    # Self-adjointness of the propagator in the flat inner product.
     worst = 0.0
     for _ in range(3):
-        f = _random_harmonic(grid, rng)
-        g = _random_harmonic(grid, rng)
+        f = random_harmonic()
+        g = random_harmonic()
         for t in (0.1, 0.5):
             worst = max(worst, check_selfadjoint(V, f, g, t, cfg.dt))
     record("selfadjoint_residual", worst, 1e-9)
@@ -291,7 +288,7 @@ def run_verify(cfg: RunConfig, perturb_eigenvalue: float = 0.0):
     density = gibbs_density(sol)
     worst = 0.0
     for _ in range(3):
-        f = _random_harmonic(grid, rng)
+        f = random_harmonic()
         moved = normalized_semigroup(sol, V, f, 0.5, cfg.dt)
         worst = max(worst, abs(integrate(moved * density) - integrate(f * density)))
     record("gibbs_stationarity", worst, 1e-7)
@@ -299,13 +296,13 @@ def run_verify(cfg: RunConfig, perturb_eigenvalue: float = 0.0):
     # Entropy rates never positive.
     worst = -np.inf
     for _ in range(10):
-        ad = admissible_from_values(_random_harmonic(grid, rng))
+        ad = admissible_from_values(random_harmonic())
         worst = max(worst, relative_entropy(ad))
     record("entropy_sign", worst, 1e-10)
 
     # Pressure decomposition against the (possibly fault-injected) eigenvalue.
     reference = admissible_from_eigen(sol, V)
-    ads = [admissible_from_values(_random_harmonic(grid, rng)) for _ in range(10)]
+    ads = [admissible_from_values(random_harmonic()) for _ in range(10)]
     _, residuals, tolerance = pressure_decomposition(
         ads, reference, V, lam, lam + perturb_eigenvalue)
     record("pressure_decomposition", max(residuals), tolerance)

@@ -24,8 +24,7 @@ from numpy.random.bit_generator import ISeedSequence
 
 from .grid import GridFunction, PeriodicGrid
 
-__all__ = ["McConfig", "PathEnsemble", "path_generator", "simulate_paths",
-           "sample_from_density"]
+__all__ = ["McConfig", "PathEnsemble", "simulate_paths", "sample_from_density"]
 
 _MAX_DOUBLES = 300_000_000  # ~2.4 GB guard: recorded positions plus increments
 _CHUNK_DOUBLES = 1 << 21  # 16 MiB increment buffer per block of paths
@@ -71,11 +70,6 @@ class _PhiloxKey(ISeedSequence):
     def stream(self, index: int) -> np.random.Generator:
         """The stream of path index: the Philox counter starts at index << 128."""
         return np.random.Generator(np.random.Philox(self, counter=index << 128))
-
-
-def path_generator(seed: int, index: int) -> np.random.Generator:
-    """Stream for one path: Philox keyed by seed, counter offset by index."""
-    return _PhiloxKey(seed).stream(index)
 
 
 @dataclass(frozen=True)
@@ -257,8 +251,7 @@ def simulate_paths(
         if isinstance(start, GridFunction):
             x = sample_from_density(start, uniforms)
         else:
-            x0 = float(start) % 1.0
-            x = np.full(nb, x0)
+            x = _wrap(np.full(nb, float(start)))
         positions[lo:hi, 0] = x
         acc = np.zeros(nb) if integrals is not None else None
         col = 1

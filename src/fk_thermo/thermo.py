@@ -317,17 +317,38 @@ class MaximizeResult:
     trace: tuple  # rows (iteration, value, grad_norm)
 
 
+def _pressure_variation(ad: AdmissibleDrift, V: GridFunction,
+                        value: float) -> np.ndarray:
+    """Nodal gradient w of pressure_value at ad: dP = sum_i w_i dg_i.
+
+    The pressure is sum a mu with a = V + (g'' + g'^2)/2 and the cell
+    masses mu = density h.  Varying g moves mu by 2 mu (dg - sum mu dg) and
+    a by D(D dg)/2 + g' D dg, where D is the first Fourier derivative; D is
+    exactly skew-symmetric, so moving it across the sum gives
+    w = D(D(mu/2)) - D(mu g') + 2 mu (a - P).
+    """
+    grid = V.grid
+    mu = GridFunction(grid, ad.density.values * grid.h)
+    a = V + (ad.curvature + ad.drift * ad.drift) * 0.5
+    w = (derivative(derivative(mu * 0.5, 1), 1) - derivative(mu * ad.drift, 1)
+         + mu * (a - value) * 2.0)
+    return w.values
+
+
 def maximize_pressure(V: GridFunction, K: int, lr: float,
                       iters: int) -> MaximizeResult:
     """Gradient ascent of the pressure over harmonic drift potentials.
 
     The drift potential is parameterized by the 2K Fourier coefficients of
     its first K harmonics (the constant mode drops out of every functional).
-    Gradients come from central finite differences with coefficient step
-    1e-6; a backtracking line search (halve the rate on decrease, at most 30
-    times) keeps the value trace nondecreasing.  Stops when the gradient
-    norm falls below 1e-8 or after iters iterations; raises NonConvergence
-    if the trace is still moving with a non-negligible gradient at the end.
+    Each evaluation returns the pressure together with its exact discrete
+    gradient (_pressure_variation projected on the basis), taken from the
+    same drift representation, so the ascent follows the derivative of the
+    very function it climbs.  A backtracking line search (halve the rate on
+    decrease, at most 30 times) keeps the value trace nondecreasing.  Stops
+    when the gradient norm falls below 1e-8 or after iters iterations;
+    raises NonConvergence if the trace is still moving with a
+    non-negligible gradient at the end.
     """
     grid = V.grid
     if K < 1 or K > grid.n // 4:
@@ -343,49 +364,31 @@ def maximize_pressure(V: GridFunction, K: int, lr: float,
         basis[k - 1] = np.cos(2 * np.pi * k * x)
         basis[K + k - 1] = np.sin(2 * np.pi * k * x)
 
-    def value_at(theta: np.ndarray) -> float:
-        g = GridFunction(grid, theta @ basis)
-        return pressure_value(admissible_from_values(g), V)
-
-    fd_step = 1e-6
-
-    def gradient_at(theta: np.ndarray) -> np.ndarray:
-        grad = np.empty_like(theta)
-        for i in range(theta.size):
-            bumped = theta.copy()
-            bumped[i] = theta[i] + fd_step
-            up = value_at(bumped)
-            bumped[i] = theta[i] - fd_step
-            down = value_at(bumped)
-            grad[i] = (up - down) / (2.0 * fd_step)
-        return grad
+    def point(theta: np.ndarray) -> tuple[float, np.ndarray]:
+        ad = admissible_from_values(GridFunction(grid, theta @ basis))
+        value = pressure_value(ad, V)
+        return value, basis @ _pressure_variation(ad, V, value)
 
     theta = np.zeros(2 * K)
-    current = value_at(theta)
+    current, grad = point(theta)
     rate = lr
-    trace: list[tuple[int, float, float]] = []
-    grad = gradient_at(theta)
     gnorm = float(np.linalg.norm(grad))
-    trace.append((0, current, gnorm))
+    trace: list[tuple[int, float, float]] = [(0, current, gnorm)]
 
     for it in range(1, iters + 1):
         if gnorm < 1e-8:
             break
         step = rate
-        accepted = False
         for _ in range(31):
             candidate = theta + step * grad
-            cand_value = value_at(candidate)
+            cand_value, cand_grad = point(candidate)
             if cand_value >= current:
-                theta = candidate
-                current = cand_value
+                theta, current, grad = candidate, cand_value, cand_grad
                 rate = min(lr, step * 2.0)
-                accepted = True
                 break
             step *= 0.5
-        if not accepted:
+        else:
             rate = step
-        grad = gradient_at(theta)
         gnorm = float(np.linalg.norm(grad))
         trace.append((it, current, gnorm))
 

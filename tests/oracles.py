@@ -89,6 +89,7 @@ def euler_paths(drift, potential, start, n_steps: int, dt: float,
         x = start(uniforms)
     else:
         x = np.full(n_paths, float(start) % 1.0)
+        x = np.where(x >= 1.0, x - 1.0, x)
     rows = [x]
     acc = np.zeros(n_paths)
     for k in range(n_steps):

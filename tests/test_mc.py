@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import fk_thermo.mc as mc
-from fk_thermo import McConfig, gibbs_density, make_grid, simulate_paths
+from fk_thermo import (HarmonicSpec, McConfig, gibbs_density, make_grid,
+                       simulate_paths)
 from fk_thermo.mc import sample_from_density
 
 from oracles import euler_paths
@@ -112,3 +113,14 @@ def test_memory_guard_counts_increment_buffer(monkeypatch):
         simulate_paths(grid, None, 0.5, 1.0, cfg)
     monkeypatch.setattr(mc, "_MAX_DOUBLES", 10_020)
     assert simulate_paths(grid, None, 0.5, 1.0, cfg).positions.shape == (10, 2)
+
+
+def test_fixed_start_recorded_inside_unit_interval():
+    # -1e-20 % 1.0 rounds to 1.0; the recorded start must wrap to 0.0
+    grid = make_grid(64)
+    drift = HarmonicSpec(harmonics=[(1, 1.0, 0.0)]).sample(grid)
+    cfg = McConfig(n_paths=3, dt=1e-3, seed=1)
+    ens = simulate_paths(grid, drift, -1e-20, 0.01, cfg, record_stride=1)
+    assert np.array_equal(ens.positions[:, 0], np.zeros(3))
+    positions, _ = euler_paths(drift.values, None, -1e-20, 10, 1e-3, 3, 1, 1)
+    assert np.array_equal(ens.positions, positions)

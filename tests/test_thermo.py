@@ -274,6 +274,35 @@ class TestMaximizePressure:
         values = [row[1] for row in result.trace]
         assert all(b >= a for a, b in zip(values, values[1:]))
 
+    @pytest.mark.parametrize("n", [64, 256, 4096])
+    def test_variation_matches_central_differences(self, n):
+        grid = make_grid(n)
+        rng = np.random.default_rng(n)
+        V = HarmonicSpec(harmonics=[(1, 1.0, 0.0), (2, 0.0, 0.5)]).sample(grid)
+        g = random_harmonic(grid, rng, scale=0.5)
+        ad = admissible_from_values(g)
+        w = thermo._pressure_variation(ad, V, pressure_value(ad, V))
+        step = 1e-6
+        for _ in range(3):
+            direction = random_harmonic(grid, rng, kmax=12)
+            up = pressure_value(admissible_from_values(g + step * direction), V)
+            down = pressure_value(admissible_from_values(g - step * direction), V)
+            central = (up - down) / (2.0 * step)
+            assert abs(w @ direction.values - central) <= 1e-7 * abs(central)
+
+    def test_ascent_evaluates_pressure_at_most_three_times_per_iteration(
+            self, vcos256, monkeypatch):
+        calls = []
+
+        def counted(ad, V):
+            calls.append(1)
+            return pressure_value(ad, V)
+
+        monkeypatch.setattr(thermo, "pressure_value", counted)
+        result = maximize_pressure(vcos256, K=8, lr=0.2, iters=60)
+        assert len(result.trace) == 61
+        assert len(calls) <= 3 * 60
+
     def test_budget_exhaustion_raises(self, vcos256):
         from fk_thermo import NonConvergence
         with pytest.raises(NonConvergence):
