@@ -84,46 +84,32 @@ def _require_v_integrals(ens: PathEnsemble) -> np.ndarray:
     return ens.potential_integrals
 
 
-def _check_horizon(ens: PathEnsemble, t: float) -> None:
-    if abs(ens.horizon - t) > 1e-9 * max(1.0, t):
-        raise ValueError(f"ensemble horizon {ens.horizon} does not match t={t}")
-
-
-def rn_weights(ens: PathEnsemble, solution: EigenSolution,
-               t: float | None = None) -> np.ndarray:
+def rn_weights(ens: PathEnsemble, solution: EigenSolution) -> np.ndarray:
     """Eigen-form path weights for a whole ensemble, vectorized.
 
-    exp(log F(end) - log F(start) - (lambda t - integral of V)) using the
-    ensemble's stored potential integrals (the designated function must be
-    the potential the eigenpair was solved for).
+    exp(log F(end) - log F(start) - (lambda t - integral of V)) at the
+    ensemble's horizon t, using its stored potential integrals (the
+    designated function must be the potential the eigenpair was solved for).
     """
-    if t is None:
-        t = ens.horizon
-    _check_horizon(ens, t)
     vint = _require_v_integrals(ens)
     log_f = GridFunction(solution.eigenfunction.grid,
                          np.log(solution.eigenfunction.values))
     start = log_f.interp(ens.positions[:, 0])
     end = log_f.interp(ens.positions[:, -1])
-    return np.exp(end - start - (solution.eigenvalue * t - vint))
+    return np.exp(end - start - (solution.eigenvalue * ens.horizon - vint))
 
 
-def rn_weights_admissible(ens: PathEnsemble, g: GridFunction,
-                          t: float | None = None) -> np.ndarray:
+def rn_weights_admissible(ens: PathEnsemble, g: GridFunction) -> np.ndarray:
     """Drift-potential path weights exp(g(end) - g(start) - int rate), vectorized.
 
     The rate (g'' + (g')^2)/2 is integrated by the same left-endpoint rule
     the simulation uses, which requires every step to be recorded
     (record_stride == 1).
     """
-    if t is None:
-        t = ens.horizon
-    _check_horizon(ens, t)
     if ens.record_stride != 1:
         raise ValueError("admissible weights need record_stride=1 ensembles")
     rate = drift_weight_integrand(g)
-    inner = ens.positions[:, :-1]
-    integral = rate.interp(inner.ravel()).reshape(inner.shape).sum(axis=1) * ens.dt
+    integral = rate.interp(ens.positions[:, :-1]).sum(axis=1) * ens.dt
     start = g.interp(ens.positions[:, 0])
     end = g.interp(ens.positions[:, -1])
     return np.exp(end - start - integral)

@@ -10,9 +10,10 @@ then its Gaussian increments.
 Increments are streamed: a block of paths keeps its streams open and draws
 a chunk of steps at a time into one reused buffer, so memory is
 O(block x chunk) plus the recorded positions, independent of the horizon.
-Wide blocks read drift and potential through one shared index lookup per
-step, narrow ones through np.interp (see simulate_paths); both give
-np.interp's bits, and a stream drawn in pieces equals one drawn whole.
+Drift and potential are read off the grid by grid.periodic_reader, the one
+route every off-node read of a grid function takes; its bits do not depend
+on how many points it reads, and a stream drawn in pieces equals one drawn
+whole.
 """
 
 from __future__ import annotations
@@ -22,17 +23,13 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .grid import GridFunction, PeriodicGrid
+from .grid import GridFunction, PeriodicGrid, periodic_reader, wrap
 
 __all__ = ["McConfig", "PathEnsemble", "simulate_paths", "sample_from_density"]
 
 _MAX_DOUBLES = 300_000_000  # ~2.4 GB guard: recorded positions plus increments
 _CHUNK_DOUBLES = 1 << 21  # 16 MiB increment buffer per block of paths
-# Narrowest block stepped by the index lookup.  The lookup costs a fixed
-# 10-20 us per step plus a few ns per point; np.interp searches every point
-# (30-100 ns each, more on finer grids), so it wins on narrow blocks.  The
-# measured crossover sits at 400-800 points for grids of 64 to 4096 nodes.
-_LOOKUP_MIN_PATHS = 512
+_BLOCK_PATHS = 20_000  # paths stepped together
 
 
 @dataclass(frozen=True)
@@ -131,47 +128,7 @@ def sample_from_density(density: GridFunction, uniforms: np.ndarray) -> np.ndarr
     seg = cdf[idx + 1] - cdf[idx]
     seg = np.where(seg > 0, seg, 1.0)
     frac = (uniforms - cdf[idx]) / seg
-    return (density.grid.nodes[idx] + h * frac) % 1.0
-
-
-def _wrap(x: np.ndarray) -> np.ndarray:
-    """Map onto [0, 1) in place.
-
-    x - floor(x) has the bits of x % 1.0 for every finite x (the fraction
-    is exact, and for x < 0 both round frac + 1 once) without the division
-    np.remainder spends per element; a tiny negative x rounds up to 1.0,
-    which wraps to 0.0.
-    """
-    x -= np.floor(x)
-    np.subtract(x, 1.0, out=x, where=x >= 1.0)
-    return x
-
-
-def _cell_index(x: np.ndarray, xp: np.ndarray) -> np.ndarray:
-    """Cell of each point of [0, 1]: the i with xp[i] <= x < xp[i + 1].
-
-    xp is the n grid nodes followed by 1.0.  floor(x n) can miss the cell
-    by one where x n rounds across an integer, or where the node i/n
-    itself rounds, so one comparison on each side settles it; x = 1.0 lands
-    on i = n, as in np.interp.
-    """
-    n = xp.size - 1
-    i = (x * n).astype(np.intp)
-    np.minimum(i, n - 1, out=i)
-    i -= xp[i] > x
-    i += xp[i + 1] <= x
-    return i
-
-
-def _slopes(table: np.ndarray, xp: np.ndarray) -> np.ndarray:
-    """np.interp's per-cell slopes, plus a zero slope for the cell at x = 1."""
-    return np.concatenate([np.diff(table) / np.diff(xp), [0.0]])
-
-
-def _lerp(table: np.ndarray, slope: np.ndarray, i: np.ndarray,
-          offset: np.ndarray) -> np.ndarray:
-    """np.interp's formula in cell i at offset x - xp[i]: the same bits."""
-    return slope[i] * offset + table[i]
+    return wrap(density.grid.nodes[idx] + h * frac)
 
 
 def simulate_paths(
@@ -182,7 +139,6 @@ def simulate_paths(
     cfg: McConfig,
     potential: GridFunction | None = None,
     record_stride: int | None = None,
-    block_paths: int = 20_000,
 ) -> PathEnsemble:
     """Euler walk X <- wrap(X + drift(X) dt + sqrt(dt) xi) over [0, T].
 
@@ -191,17 +147,16 @@ def simulate_paths(
     linear interpolation.  record_stride controls which steps land in the
     ensemble (None records endpoints only); it must divide the step count.
 
-    Paths run in blocks of block_paths.  A block keeps its paths' streams
+    Paths run in blocks of _BLOCK_PATHS.  A block keeps its paths' streams
     and draws their increments step chunk by step chunk into one reused
     (block, chunk) buffer, chunk = max(1, _CHUNK_DOUBLES // block), so
     memory is O(block x chunk) plus the recorded positions, whatever T is;
-    the guard counts both.  A block of at least _LOOKUP_MIN_PATHS paths
-    finds each step's grid cells once, by _cell_index, for drift and
-    potential alike, and evaluates np.interp's own formula
-    slope[i] (x - xp[i]) + table[i]; a narrower block, where np.interp's
-    per-point search costs less than the lookup's fixed per-step cost,
-    calls np.interp.  Both give the same bits, so the ensemble depends on
-    (seed, path index) alone, not on block_paths or the chunk size.
+    the guard counts both.  Each step reads drift and potential together
+    through one grid.periodic_reader built per call: a wide block shares
+    one cell lookup between them, and a narrow one, where a per-point
+    search costs less than the lookup's fixed per-call cost, searches.  The
+    bits are the same either way, so the ensemble depends on (seed, path
+    index) alone, not on the block or chunk size.
     """
     if not T > 0:
         raise ValueError(f"horizon must be positive, got {T}")
@@ -213,7 +168,7 @@ def simulate_paths(
     if stride < 1 or n_steps % stride != 0:
         raise ValueError(f"record_stride {stride} must divide {n_steps} steps")
     n_rec = n_steps // stride + 1
-    widest = min(block_paths, cfg.n_paths)
+    widest = min(_BLOCK_PATHS, cfg.n_paths)
     chunk = min(n_steps, max(1, _CHUNK_DOUBLES // widest))
     if cfg.n_paths * n_rec + widest * chunk > _MAX_DOUBLES:
         raise ValueError("recorded positions and increment buffer would exceed "
@@ -221,37 +176,28 @@ def simulate_paths(
 
     if isinstance(start, GridFunction) and start.grid != grid:
         raise ValueError("initial density lives on a different grid")
-    drift_table = None
-    if drift is not None:
-        if drift.grid != grid:
-            raise ValueError("drift lives on a different grid")
-        drift_table = np.concatenate([drift.values, drift.values[:1]])
-    pot_table = None
-    if potential is not None:
-        if potential.grid != grid:
-            raise ValueError("potential lives on a different grid")
-        pot_table = np.concatenate([potential.values, potential.values[:1]])
-
-    xp = np.concatenate([grid.nodes, [1.0]])
-    drift_slope = None if drift_table is None else _slopes(drift_table, xp)
-    pot_slope = None if pot_table is None else _slopes(pot_table, xp)
+    if drift is not None and drift.grid != grid:
+        raise ValueError("drift lives on a different grid")
+    if potential is not None and potential.grid != grid:
+        raise ValueError("potential lives on a different grid")
+    # potential first, drift last: read(x)[0] and read(x)[-1]
+    read = periodic_reader(grid, *[f for f in (potential, drift) if f is not None])
 
     positions = np.empty((cfg.n_paths, n_rec))
-    integrals = np.zeros(cfg.n_paths) if pot_table is not None else None
+    integrals = np.zeros(cfg.n_paths) if potential is not None else None
     sqrt_dt = np.sqrt(cfg.dt)
     normals = np.empty((widest, chunk))
     key = _PhiloxKey(cfg.seed)
 
-    for lo in range(0, cfg.n_paths, block_paths):
-        hi = min(lo + block_paths, cfg.n_paths)
+    for lo in range(0, cfg.n_paths, _BLOCK_PATHS):
+        hi = min(lo + _BLOCK_PATHS, cfg.n_paths)
         nb = hi - lo
-        lookup = nb >= _LOOKUP_MIN_PATHS
         gens = [key.stream(lo + j) for j in range(nb)]
         uniforms = np.array([gen.random() for gen in gens])
         if isinstance(start, GridFunction):
             x = sample_from_density(start, uniforms)
         else:
-            x = _wrap(np.full(nb, float(start)))
+            x = wrap(np.full(nb, float(start)))
         positions[lo:hi, 0] = x
         acc = np.zeros(nb) if integrals is not None else None
         col = 1
@@ -262,19 +208,13 @@ def simulate_paths(
             increments = normals[:nb, :width]
             increments *= sqrt_dt
             for k in range(width):
-                if lookup:
-                    i = _cell_index(x, xp)
-                    offset = x - xp[i]
+                values = read(x)
                 if acc is not None:
-                    v = (_lerp(pot_table, pot_slope, i, offset) if lookup
-                         else np.interp(x, xp, pot_table))
-                    acc += v * cfg.dt
+                    acc += values[0] * cfg.dt
                 step = increments[:, k]
-                if drift_table is not None:
-                    b = (_lerp(drift_table, drift_slope, i, offset) if lookup
-                         else np.interp(x, xp, drift_table))
-                    step = step + b * cfg.dt
-                x = _wrap(x + step)
+                if drift is not None:
+                    step = step + values[-1] * cfg.dt
+                x = wrap(x + step)
                 if (k0 + k + 1) % stride == 0:
                     positions[lo:hi, col] = x
                     col += 1

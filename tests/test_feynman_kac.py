@@ -110,14 +110,7 @@ class TestPropagateMc:
         f = HarmonicSpec(constant=1.0, harmonics=[(1, 0.0, 0.5)]).sample(grid512)
         cfg = McConfig(n_paths=700, dt=1e-3, seed=5)
         baseline = propagate_mc(vcos512, f, 0.25, cfg, 0.1)
-        import fk_thermo.mc as mc_mod
-        original = mc_mod.simulate_paths
-
-        def chunked(*args, **kwargs):
-            kwargs["block_paths"] = 123
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr("fk_thermo.feynman_kac.simulate_paths", chunked)
+        monkeypatch.setattr("fk_thermo.mc._BLOCK_PATHS", 123)
         rechunked = propagate_mc(vcos512, f, 0.25, cfg, 0.1)
         assert baseline == rechunked
 

@@ -1,8 +1,12 @@
+import hypothesis
+import hypothesis.strategies as st
 import numpy as np
 import pytest
 
+import fk_thermo.grid as grid_module
 from fk_thermo import (GridFunction, HarmonicSpec, derivative,
                        function_from_csv, integrate, make_grid)
+from fk_thermo.grid import periodic_reader, wrap
 
 from conftest import random_harmonic
 
@@ -49,6 +53,122 @@ class TestGridFunction:
         # midpoint between node 7 (value 7) and the wrap back to node 0.
         assert f.interp(1.0 - grid.h / 2) == pytest.approx(3.5)
         assert f.interp(-0.125) == 7.0  # periodic wrap of x = 0.875
+
+
+def reference_interp(f, x):
+    """Periodic interpolation as remainder, wrap fix and np.interp."""
+    xw = np.asarray(x, dtype=float) % 1.0
+    xw = np.where(xw >= 1.0, xw - 1.0, xw)
+    return np.interp(xw, np.append(f.grid.nodes, 1.0),
+                     np.append(f.values, f.values[0]))
+
+
+def random_function(n, seed):
+    return GridFunction(make_grid(n), np.random.default_rng(seed).standard_normal(n))
+
+
+@pytest.mark.parametrize("n", [6, 384, 512, 1000, 4098])
+def test_cell_lookup_matches_np_interp_bitwise(n):
+    xp = np.append(make_grid(n).nodes, 1.0)
+    rng = np.random.default_rng(n)
+    values = rng.standard_normal(n)
+    table = np.append(values, values[0])
+    x = np.concatenate([
+        rng.random(1_000_000),
+        xp,
+        np.nextafter(xp[1:], 0.0),
+        np.nextafter(xp[:-1], 1.0),
+        [np.nextafter(1.0, 0.0)],
+    ])
+    (got,) = periodic_reader(make_grid(n), GridFunction(make_grid(n), values))(x)
+    assert np.array_equal(got, np.interp(x, xp, table))
+
+
+def test_wrap_matches_remainder_bitwise():
+    rng = np.random.default_rng(3)
+    ints = np.arange(-3.0, 4.0)
+    x = np.concatenate([
+        rng.uniform(-2.0, 2.0, 100_000),
+        rng.uniform(-1e-15, 1e-15, 10_000),
+        ints, np.nextafter(ints, -np.inf), np.nextafter(ints, np.inf),
+        [-0.0, -5e-324, 5e-324, -2.0**-54, -2.0**-53, 1.0 - 2.0**-53],
+    ])
+    reference = x % 1.0
+    reference = np.where(reference >= 1.0, reference - 1.0, reference)
+    got = wrap(x.copy())
+    assert np.array_equal(got, reference)
+    assert np.array_equal(np.signbit(got), np.signbit(reference))
+    assert got.min() >= 0.0 and got.max() < 1.0
+
+
+class TestInterp:
+    @pytest.mark.parametrize("n", [6, 512, 4098])
+    @pytest.mark.parametrize("size", [511, 512])
+    def test_matches_reference_bitwise_at_the_crossover(self, n, size):
+        f = random_function(n, n + size)
+        x = np.random.default_rng(size).uniform(-3.0, 3.0, size)
+        x[:5] = np.append(f.grid.nodes[:4], 1.0)
+        got = f.interp(x)
+        assert got.shape == (size,)
+        assert np.array_equal(got, reference_interp(f, x))
+
+    @pytest.mark.parametrize("shape", [(7, 3), (40, 25)])
+    def test_two_dimensional_input(self, shape):
+        f = random_function(256, 1)
+        x = np.random.default_rng(2).uniform(-2.0, 2.0, shape)
+        got = f.interp(x[:, ::2])  # a strided view, as rn_weights passes
+        assert got.shape == x[:, ::2].shape
+        assert np.array_equal(got, reference_interp(f, x[:, ::2]))
+
+    @pytest.mark.parametrize("x", [0.3, -0.3, 1e-300, -1e-20, 7.0, np.float64(0.6)])
+    def test_scalar_gives_float(self, x):
+        f = random_function(64, 3)
+        got = f.interp(x)
+        assert type(got) is float
+        assert got == float(reference_interp(f, x))
+
+    @pytest.mark.parametrize("shape", [(3500,), (70, 50)])
+    def test_blocks_with_ragged_last_block(self, monkeypatch, shape):
+        monkeypatch.setattr(grid_module, "_BLOCK_POINTS", 1000)
+        f = random_function(512, 4)
+        x = np.random.default_rng(5).uniform(-1.0, 2.0, shape)
+        got = f.interp(x)
+        assert got.shape == shape
+        assert np.array_equal(got, reference_interp(f, x))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("size", [3, 600])
+    def test_non_finite_points_raise(self, bad, size):
+        f = random_function(64, 6)
+        x = np.random.default_rng(7).random(size)
+        x[size // 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            f.interp(x)
+        with pytest.raises(ValueError, match="finite"):
+            f.interp(bad)
+
+
+@hypothesis.settings(max_examples=400, deadline=None)
+@hypothesis.given(
+    n=st.integers(2, 2049).map(lambda k: 2 * k),
+    size=st.sampled_from([1, 5, 100, 511, 512, 513, 2000]),
+    drawn=st.lists(st.floats(-1e6, 1e6), max_size=16),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_interp_matches_reference_property(n, size, drawn, seed):
+    rng = np.random.default_rng(seed)
+    f = random_function(n, seed)
+    nodes = f.grid.nodes
+    pool = np.concatenate([
+        drawn,
+        rng.uniform(-1e6, 1e6, size),
+        rng.uniform(-2.0, 2.0, size),
+        -rng.uniform(0.0, 1e-15, size),
+        np.nextafter(nodes, -np.inf), np.nextafter(nodes, np.inf), nodes,
+        nodes + rng.integers(-3, 4, n),
+    ])
+    x = np.concatenate([drawn, rng.choice(pool, size)])[:size]
+    assert np.array_equal(f.interp(x), reference_interp(f, x))
 
 
 class TestSample:

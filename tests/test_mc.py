@@ -1,4 +1,4 @@
-"""Path engine: streamed increments, the index-lookup kernel, the memory guard."""
+"""Path engine: streamed increments, block and chunk independence, the memory guard."""
 
 import tracemalloc
 
@@ -13,41 +13,6 @@ from fk_thermo.mc import sample_from_density
 from oracles import euler_paths
 
 
-@pytest.mark.parametrize("n", [6, 384, 512, 1000, 4098])
-def test_cell_lookup_matches_np_interp_bitwise(n):
-    xp = np.append(make_grid(n).nodes, 1.0)
-    rng = np.random.default_rng(n)
-    values = rng.standard_normal(n)
-    table = np.append(values, values[0])
-    x = np.concatenate([
-        rng.random(1_000_000),
-        xp,
-        np.nextafter(xp[1:], 0.0),
-        np.nextafter(xp[:-1], 1.0),
-        [np.nextafter(1.0, 0.0)],
-    ])
-    i = mc._cell_index(x, xp)
-    got = mc._lerp(table, mc._slopes(table, xp), i, x - xp[i])
-    assert np.array_equal(got, np.interp(x, xp, table))
-
-
-def test_wrap_matches_remainder_bitwise():
-    rng = np.random.default_rng(3)
-    ints = np.arange(-3.0, 4.0)
-    x = np.concatenate([
-        rng.uniform(-2.0, 2.0, 100_000),
-        rng.uniform(-1e-15, 1e-15, 10_000),
-        ints, np.nextafter(ints, -np.inf), np.nextafter(ints, np.inf),
-        [-0.0, -5e-324, 5e-324, -2.0**-54, -2.0**-53, 1.0 - 2.0**-53],
-    ])
-    reference = x % 1.0
-    reference = np.where(reference >= 1.0, reference - 1.0, reference)
-    got = mc._wrap(x.copy())
-    assert np.array_equal(got, reference)
-    assert np.array_equal(np.signbit(got), np.signbit(reference))
-    assert got.min() >= 0.0 and got.max() < 1.0
-
-
 @pytest.mark.parametrize("stride", [1, None])
 @pytest.mark.parametrize("block_paths, chunk_doubles", [
     (20_000, None), (123, None), (20_000, 7), (123, 7), (20_000, 7 * 700),
@@ -57,13 +22,13 @@ def test_ensembles_identical_across_chunking(vcos512, eig_cos512, monkeypatch,
                                              chunk_doubles):
     # 700 paths take the index lookup, blocks of 123 take np.interp; chunks
     # of 1, 7 and 39 steps leave a ragged last chunk of the 100 steps.
+    monkeypatch.setattr(mc, "_BLOCK_PATHS", block_paths)
     if chunk_doubles is not None:
         monkeypatch.setattr(mc, "_CHUNK_DOUBLES", chunk_doubles)
     density = gibbs_density(eig_cos512)
     cfg = McConfig(n_paths=700, dt=1e-3, seed=8)
     ens = simulate_paths(vcos512.grid, eig_cos512.drift, density, 0.1, cfg,
-                         potential=vcos512, record_stride=stride,
-                         block_paths=block_paths)
+                         potential=vcos512, record_stride=stride)
     positions, integrals = euler_paths(
         eig_cos512.drift.values, vcos512.values,
         lambda u: sample_from_density(density, u), 100, 1e-3, 700, 8,
