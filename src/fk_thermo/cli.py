@@ -188,15 +188,6 @@ def cmd_simulate(cfg: RunConfig) -> int:
     return 0
 
 
-def _entropy_report(cfg: RunConfig):
-    grid, V, sol = _solve(cfg)
-    if cfg.g_use == "doob":
-        ad = admissible_from_eigen(sol, V)
-    else:
-        ad = admissible_from_values(cfg.build_g(grid))
-    return grid, V, sol, ad, make_entropy_report(ad, V, sol)
-
-
 def _report_dict(report) -> dict:
     return {
         "entropy": report.entropy,
@@ -208,7 +199,12 @@ def _report_dict(report) -> dict:
 
 
 def cmd_entropy(cfg: RunConfig) -> int:
-    _, _, _, _, report = _entropy_report(cfg)
+    grid, V, sol = _solve(cfg)
+    if cfg.g_use == "doob":
+        ad = admissible_from_eigen(sol, V)
+    else:
+        ad = admissible_from_values(cfg.build_g(grid))
+    report = make_entropy_report(ad, V, sol)
     out = _outdir(cfg)
     _write_meta(cfg, out, "entropy")
     write_json(out / "entropy.json", _report_dict(report))

@@ -16,7 +16,7 @@ import numpy as np
 from .feynman_kac import PropagatorConfig, propagate_pde
 from .grid import GridFunction, derivative, integrate
 from .mc import McConfig, PathEnsemble, simulate_paths
-from .spectral import EigenSolution, apply_laplacian_half, gibbs_density
+from .spectral import EigenSolution, gibbs_density, laplacian_half
 
 __all__ = [
     "normalized_semigroup",
@@ -68,14 +68,15 @@ def simulate_sde(
 def drift_weight_integrand(g: GridFunction) -> GridFunction:
     """Drift-potential weight rate (g'' + (g')^2)/2, in generator form.
 
-    Computed as (D/2 applied to e^g) / e^g with the same second-difference
-    stencil the generator matrix uses, so that for g = log F the rate equals
-    lambda - V at the eigenpair-residual level, node by node.
+    Computed as (laplacian_half @ e^g) / e^g, applying the sparse
+    second-difference stencil the generator matrix is built from, so that
+    for g = log F the rate equals lambda - V at the eigenpair-residual level,
+    node by node.
     """
     eg = np.exp(g.values)
     if not np.all(np.isfinite(eg)):
         raise ValueError("exp(g) overflows; rescale the drift potential")
-    return GridFunction(g.grid, apply_laplacian_half(eg, g.grid) / eg)
+    return GridFunction(g.grid, (laplacian_half(g.grid) @ eg) / eg)
 
 
 def _require_v_integrals(ens: PathEnsemble) -> np.ndarray:

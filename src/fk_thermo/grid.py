@@ -272,8 +272,15 @@ def function_from_csv(path, grid: PeriodicGrid) -> GridFunction:
         for row in reader:
             if not row:
                 continue
-            xs.append(float(row[0]))
-            vals.append(float(row[1]))
+            where = f"{path}: line {reader.line_num}"
+            if len(row) < 2:
+                raise ValueError(f"{where}: expected 2 columns x,value, "
+                                 f"found {len(row)}")
+            try:
+                xs.append(float(row[0]))
+                vals.append(float(row[1]))
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
     if len(xs) != grid.n:
         raise ValueError(f"{path}: expected {grid.n} rows, found {len(xs)}")
     xs = np.asarray(xs)

@@ -38,7 +38,7 @@ from scipy.sparse.linalg import LinearOperator, cg, splu
 from .grid import GridFunction, HarmonicSpec, PeriodicGrid, derivative, integrate
 from .mc import McConfig, simulate_paths
 from .spectral import (EigenSolution, NonConvergence, PositivityViolation,
-                       apply_laplacian_half, build_generator, inverse_iteration)
+                       build_generator, inverse_iteration)
 
 __all__ = [
     "AdmissibleDrift",
@@ -50,7 +50,6 @@ __all__ = [
     "admissible_from_spec",
     "admissible_from_values",
     "admissible_from_eigen",
-    "potential_from_eigen",
     "carre_du_champ",
     "relative_entropy",
     "entropy_finite_T_mc",
@@ -121,26 +120,17 @@ def admissible_from_spec(spec: HarmonicSpec, grid: PeriodicGrid) -> AdmissibleDr
     return admissible_from_values(spec.sample(grid))
 
 
-def potential_from_eigen(solution: EigenSolution) -> GridFunction:
-    """Recover the potential the eigenpair solves for: lambda - (DF/2)/F."""
-    F = solution.eigenfunction.values
-    rate = apply_laplacian_half(F, solution.eigenfunction.grid) / F
-    return GridFunction(solution.eigenfunction.grid,
-                        solution.eigenvalue - rate)
-
-
 def admissible_from_eigen(solution: EigenSolution,
-                          V: GridFunction | None = None) -> AdmissibleDrift:
+                          V: GridFunction) -> AdmissibleDrift:
     """Drift representation of the eigen-process, differentiation-consistent.
 
-    Solves the Fourier-discretized operator for the same potential by inverse
-    iteration seeded at the main eigenpair and returns the drift built from
-    the log of that eigenvector.  Its pressure then reproduces the eigenvalue
-    up to the offset between the two discretizations.  Raises NonConvergence
-    if a conjugate-gradient solve stops short of its tolerance.
+    V is the potential the eigenpair was solved for.  Solves the
+    Fourier-discretized operator for that potential by inverse iteration
+    seeded at the main eigenpair and returns the drift built from the log of
+    that eigenvector.  Its pressure then reproduces the eigenvalue up to the
+    offset between the two discretizations.  Raises NonConvergence if a
+    conjugate-gradient solve stops short of its tolerance.
     """
-    if V is None:
-        V = potential_from_eigen(solution)
     grid = V.grid
     n = grid.n
     shift = solution.eigenvalue + 1e-8 * max(1.0, abs(solution.eigenvalue))
@@ -250,19 +240,15 @@ def pressure_decomposition(
 
 
 def pressure_gap(ad: AdmissibleDrift, solution: EigenSolution,
-                 reference: AdmissibleDrift | None = None,
-                 V: GridFunction | None = None) -> float:
+                 reference: AdmissibleDrift, V: GridFunction) -> float:
     """Quadratic deficit between the eigenvalue and the pressure at ad.
 
     Computes the invariant average of (reference drift - drift)^2 / 2 and
     verifies that it reproduces eigenvalue - pressure up to the documented
-    discretization offset, raising DecompositionMismatch otherwise.  Pass
-    the reference drift representation explicitly when calling in a loop.
+    discretization offset, raising DecompositionMismatch otherwise.  V is
+    the potential the eigenpair was solved for and reference is
+    admissible_from_eigen(solution, V), built once and shared across calls.
     """
-    if V is None:
-        V = potential_from_eigen(solution)
-    if reference is None:
-        reference = admissible_from_eigen(solution, V)
     (gap,), (mismatch,), tolerance = pressure_decomposition(
         [ad], reference, V, solution.eigenvalue)
     if mismatch > tolerance:

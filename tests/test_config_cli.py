@@ -292,6 +292,20 @@ class TestCliCommands:
     def test_missing_config_file_exit_code(self):
         assert main(["eigen", "--config", "/nonexistent/run.cfg"]) == 2
 
+    @pytest.mark.parametrize("body, line", [
+        ("0.0\n", 2),
+        ("0.0,1.0\n0.015625,abc\n", 3),
+    ], ids=["short_row", "non_numeric"])
+    def test_malformed_csv_row_cites_path_and_line(self, tmp_path, capsys,
+                                                   body, line):
+        path = tmp_path / "short.csv"
+        path.write_text("x,value\n" + body)
+        assert main(["eigen", "--grid.n=64", f"--potential.csv={path}",
+                     f"--run.out={tmp_path / 'out'}"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert f"{path}: line {line}: " in err[0]
+
     def test_numerical_failure_exit_code(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, MINIMAL.replace("n = 256", "n = 128"))
         out = tmp_path / "out"

@@ -232,6 +232,20 @@ class TestRnWeightAdmissible:
         assert gap < 1e-3 * np.max(np.abs(spectral_form))  # O(h^2) agreement
         assert gap > 0  # genuinely distinct routes
 
+    @pytest.mark.parametrize("n", [256, 512, 4096])
+    def test_integrand_at_log_eigenfunction_is_lambda_minus_v(self, n):
+        # For g = log F the rate (D/2 F)/F equals lambda - V node by node;
+        # the bound is principal_eigenpair's residual guard, which measures
+        # A F - lambda F relative to max F, divided by min F.
+        grid = make_grid(n)
+        V = HarmonicSpec(harmonics=[(1, 1.0, 0.0), (2, 0.0, 0.5)]).sample(grid)
+        sol = principal_eigenpair(build_generator(V))
+        F = sol.eigenfunction.values
+        rate = drift_weight_integrand(GridFunction(grid, np.log(F))).values
+        guard = max(1e-9, 6.0 * np.finfo(float).eps * n**2)
+        err = np.max(np.abs(rate - (sol.eigenvalue - V.values)))
+        assert err <= guard * F.max() / F.min()
+
 
 class TestHistograms:
     def test_tv_distance_of_identical_vectors(self):
