@@ -146,6 +146,20 @@ def wrap(x: np.ndarray) -> np.ndarray:
     return x
 
 
+def _interp_tables(grid: PeriodicGrid, *functions: GridFunction):
+    """np.interp's nodes, tables and slopes for reading functions on the circle.
+
+    xp is the n nodes followed by 1.0, and each table repeats its first value
+    there.  slope[i] = (table[i+1] - table[i]) / (xp[i+1] - xp[i]) is the
+    value np.interp computes for cell i; a trailing 0.0 pads slope to the
+    length of xp.  Returns (xp, tables, slopes).
+    """
+    xp = np.concatenate([grid.nodes, [1.0]])
+    tables = [np.concatenate([f.values, f.values[:1]]) for f in functions]
+    slopes = [np.concatenate([np.diff(t) / np.diff(xp), [0.0]]) for t in tables]
+    return xp, tables, slopes
+
+
 def periodic_reader(grid: PeriodicGrid, *functions: GridFunction):
     """Reader of grid functions at points of [0, 1], one array per function.
 
@@ -159,9 +173,7 @@ def periodic_reader(grid: PeriodicGrid, *functions: GridFunction):
     Inputs above _BLOCK_POINTS points are read block by block.
     """
     n = grid.n
-    xp = np.concatenate([grid.nodes, [1.0]])
-    tables = [np.concatenate([f.values, f.values[:1]]) for f in functions]
-    slopes = [np.concatenate([np.diff(t) / np.diff(xp), [0.0]]) for t in tables]
+    xp, tables, slopes = _interp_tables(grid, *functions)
 
     def lookup(x):
         i = (x * n).astype(np.intp)
@@ -258,24 +270,30 @@ def integrate(f: GridFunction) -> float:
 
 
 def function_from_csv(path, grid: PeriodicGrid) -> GridFunction:
-    """Load samples from a CSV with columns x,value matching the grid nodes.
+    """Load samples from a CSV with exactly two columns x,value at the grid nodes.
 
     The x column must reproduce the nodes i/n (up to 1e-12 print roundoff);
-    values are used verbatim, no resampling or smoothing.
+    values are used verbatim, no resampling or smoothing.  A header or row
+    with any other number of columns raises ValueError naming its line.
     """
     xs, vals = [], []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
+
+        def two_columns(row):
+            if len(row) != 2:
+                raise ValueError(f"{path}: line {reader.line_num}: expected 2 "
+                                 f"columns x,value, found {len(row)}")
+
         header = next(reader, None)
         if header is None or [c.strip().lower() for c in header[:2]] != ["x", "value"]:
             raise ValueError(f"{path}: expected CSV header 'x,value'")
+        two_columns(header)
         for row in reader:
             if not row:
                 continue
+            two_columns(row)
             where = f"{path}: line {reader.line_num}"
-            if len(row) < 2:
-                raise ValueError(f"{where}: expected 2 columns x,value, "
-                                 f"found {len(row)}")
             try:
                 xs.append(float(row[0]))
                 vals.append(float(row[1]))

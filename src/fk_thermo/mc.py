@@ -14,22 +14,31 @@ Drift and potential are read off the grid by grid.periodic_reader, the one
 route every off-node read of a grid function takes; its bits do not depend
 on how many points it reads, and a stream drawn in pieces equals one drawn
 whole.
+
+A block of a few paths spends its time in numpy's fixed per-call cost, not
+in arithmetic, so blocks narrower than _SCALAR_PATHS walk path by path on
+Python floats over the reader's own tables (grid._interp_tables).  That walk
+makes the same IEEE operations in the same order as the vectorized step, so
+it changes the time a narrow run takes and not its bits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import floor
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .grid import GridFunction, PeriodicGrid, periodic_reader, wrap
+from .grid import GridFunction, PeriodicGrid, _interp_tables, periodic_reader, wrap
 
 __all__ = ["McConfig", "PathEnsemble", "simulate_paths", "sample_from_density"]
 
 _MAX_DOUBLES = 300_000_000  # ~2.4 GB guard: recorded positions plus increments
 _CHUNK_DOUBLES = 1 << 21  # 16 MiB increment buffer per block of paths
 _BLOCK_PATHS = 20_000  # paths stepped together
+_SCALAR_PATHS = 24  # narrower blocks step path by path on Python floats
+_WINDOW_STEPS = 4096  # steps drawn and converted at once by the scalar walk
 
 
 @dataclass(frozen=True)
@@ -131,6 +140,49 @@ def sample_from_density(density: GridFunction, uniforms: np.ndarray) -> np.ndarr
     return wrap(density.grid.nodes[idx] + h * frac)
 
 
+def _scalar_window(x, acc, increments, left, stride, dt, tables):
+    """Walk one path through one window of scaled increments on Python floats.
+
+    Each step makes the vectorized step's IEEE operations in its order: the
+    cell int(x n) with the cell lookup's two one-sided corrections,
+    np.interp's slope[i] (x - xp[i]) + table[i], the potential term added
+    to acc, the drift term added to the increment, then grid.wrap's
+    x - floor(x) and its >= 1.0 fix; so the bits are the vectorized ones.
+    tables is (xp, drift, potential) as lists, each function a
+    (table, slope) pair or None.  left counts the steps up to the next
+    recorded one.  Returns (x, acc, the positions recorded in the window).
+    """
+    x_nodes, drift, potential = tables
+    n = len(x_nodes) - 1
+    if drift is not None:
+        d_table, d_slope = drift
+    if potential is not None:
+        p_table, p_slope = potential
+    recorded = []
+    for inc in increments:
+        i = int(x * n)
+        if i == n:
+            i -= 1
+        if x_nodes[i] > x:
+            i -= 1
+        elif x_nodes[i + 1] <= x:
+            i += 1
+        offset = x - x_nodes[i]
+        if potential is not None:
+            acc += (p_slope[i] * offset + p_table[i]) * dt
+        if drift is not None:
+            inc = inc + (d_slope[i] * offset + d_table[i]) * dt
+        x = x + inc
+        x -= floor(x)
+        if x >= 1.0:
+            x -= 1.0
+        left -= 1
+        if not left:
+            recorded.append(x)
+            left = stride
+    return x, acc, recorded
+
+
 def simulate_paths(
     grid: PeriodicGrid,
     drift: GridFunction | None,
@@ -149,14 +201,20 @@ def simulate_paths(
 
     Paths run in blocks of _BLOCK_PATHS.  A block keeps its paths' streams
     and draws their increments step chunk by step chunk into one reused
-    (block, chunk) buffer, chunk = max(1, _CHUNK_DOUBLES // block), so
+    (block, chunk) buffer, chunk = max(1, _CHUNK_DOUBLES // block), or
+    _WINDOW_STEPS when every block is narrower than _SCALAR_PATHS, so
     memory is O(block x chunk) plus the recorded positions, whatever T is;
-    the guard counts both.  Each step reads drift and potential together
-    through one grid.periodic_reader built per call: a wide block shares
-    one cell lookup between them, and a narrow one, where a per-point
-    search costs less than the lookup's fixed per-call cost, searches.  The
-    bits are the same either way, so the ensemble depends on (seed, path
-    index) alone, not on the block or chunk size.
+    the guard counts both.  A block of at least _SCALAR_PATHS paths steps
+    them together, reading drift and potential through one
+    grid.periodic_reader built per call: a wide block shares one cell
+    lookup between them, and a narrower one, where a per-point search costs
+    less than the lookup's fixed per-call cost, searches.  A block narrower
+    than _SCALAR_PATHS (about 24, where the two kernels' times cross at
+    n=512, dt=1e-3) walks each path through each chunk on Python floats
+    with the same operations in the same order, and writes the chunk's
+    recorded positions into the path's row.  The bits are the same every
+    way, so the ensemble depends on (seed, path index) alone, not on the
+    block or chunk size.
     """
     if not T > 0:
         raise ValueError(f"horizon must be positive, got {T}")
@@ -169,7 +227,10 @@ def simulate_paths(
         raise ValueError(f"record_stride {stride} must divide {n_steps} steps")
     n_rec = n_steps // stride + 1
     widest = min(_BLOCK_PATHS, cfg.n_paths)
-    chunk = min(n_steps, max(1, _CHUNK_DOUBLES // widest))
+    if widest < _SCALAR_PATHS:
+        chunk = min(n_steps, _WINDOW_STEPS)
+    else:
+        chunk = min(n_steps, max(1, _CHUNK_DOUBLES // widest))
     if cfg.n_paths * n_rec + widest * chunk > _MAX_DOUBLES:
         raise ValueError("recorded positions and increment buffer would exceed "
                          "the memory guard; increase record_stride")
@@ -181,7 +242,12 @@ def simulate_paths(
     if potential is not None and potential.grid != grid:
         raise ValueError("potential lives on a different grid")
     # potential first, drift last: read(x)[0] and read(x)[-1]
-    read = periodic_reader(grid, *[f for f in (potential, drift) if f is not None])
+    fields = [f for f in (potential, drift) if f is not None]
+    read = periodic_reader(grid, *fields)
+    xp, tables, slopes = _interp_tables(grid, *fields)
+    pairs = [(table.tolist(), slope.tolist()) for table, slope in zip(tables, slopes)]
+    scalar_tables = (xp.tolist(), pairs[-1] if drift is not None else None,
+                     pairs[0] if potential is not None else None)
 
     positions = np.empty((cfg.n_paths, n_rec))
     integrals = np.zeros(cfg.n_paths) if potential is not None else None
@@ -200,6 +266,9 @@ def simulate_paths(
             x = wrap(np.full(nb, float(start)))
         positions[lo:hi, 0] = x
         acc = np.zeros(nb) if integrals is not None else None
+        narrow = nb < _SCALAR_PATHS
+        if narrow:  # the scalar walk carries each path's state as floats
+            x, acc = x.tolist(), [0.0] * nb
         col = 1
         for k0 in range(0, n_steps, chunk):
             width = min(chunk, n_steps - k0)
@@ -207,6 +276,14 @@ def simulate_paths(
                 gen.standard_normal(out=normals[j, :width])
             increments = normals[:nb, :width]
             increments *= sqrt_dt
+            if narrow:
+                first = k0 // stride + 1
+                for j in range(nb):
+                    x[j], acc[j], recorded = _scalar_window(
+                        x[j], acc[j], increments[j].tolist(),
+                        stride - k0 % stride, stride, cfg.dt, scalar_tables)
+                    positions[lo + j, first:first + len(recorded)] = recorded
+                continue
             for k in range(width):
                 values = read(x)
                 if acc is not None:

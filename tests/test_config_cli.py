@@ -295,7 +295,8 @@ class TestCliCommands:
     @pytest.mark.parametrize("body, line", [
         ("0.0\n", 2),
         ("0.0,1.0\n0.015625,abc\n", 3),
-    ], ids=["short_row", "non_numeric"])
+        ("0.0,1.0,7\n", 2),
+    ], ids=["short_row", "non_numeric", "three_columns"])
     def test_malformed_csv_row_cites_path_and_line(self, tmp_path, capsys,
                                                    body, line):
         path = tmp_path / "short.csv"

@@ -304,6 +304,17 @@ class TestCsv:
         with pytest.raises(ValueError, match="nodes"):
             function_from_csv(path, grid)
 
+    @pytest.mark.parametrize("text, line", [
+        ("x,value,note\n0.0,1.0\n", 1),
+        ("x,value\n0.0,1.0\n0.125,1.0,7\n", 3),
+    ], ids=["header", "row"])
+    def test_extra_column_rejected(self, tmp_path, text, line):
+        path = tmp_path / "three.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"line {line}: expected 2 columns "
+                                             "x,value, found 3"):
+            function_from_csv(path, make_grid(8))
+
     def test_wrong_length_rejected(self, tmp_path):
         grid = make_grid(8)
         path = tmp_path / "f.csv"

@@ -1,4 +1,5 @@
-"""Path engine: streamed increments, block and chunk independence, the memory guard."""
+"""Path engine: streamed increments, block and chunk independence, the scalar
+walk of narrow blocks, the memory guard."""
 
 import tracemalloc
 
@@ -89,3 +90,73 @@ def test_fixed_start_recorded_inside_unit_interval():
     assert np.array_equal(ens.positions[:, 0], np.zeros(3))
     positions, _ = euler_paths(drift.values, None, -1e-20, 10, 1e-3, 3, 1, 1)
     assert np.array_equal(ens.positions, positions)
+
+
+_CROSSOVER = mc._SCALAR_PATHS
+
+
+@pytest.mark.parametrize("fields", ["drift+potential", "drift", "potential"])
+@pytest.mark.parametrize("n_paths, block_paths", [
+    (1, None), (_CROSSOVER - 1, None), (_CROSSOVER, None),
+    (_CROSSOVER + 1, None), (700, 230),
+])
+def test_scalar_walk_identical_to_reference(vcos512, eig_cos512, monkeypatch,
+                                            n_paths, block_paths, fields):
+    # Blocks narrower than the crossover walk on Python floats, wider ones
+    # step together; 700 paths in blocks of 230 leave a narrow last block of
+    # 10.  Windows of 7 steps leave a ragged last window of the 102 steps.
+    if block_paths is not None:
+        monkeypatch.setattr(mc, "_BLOCK_PATHS", block_paths)
+    monkeypatch.setattr(mc, "_WINDOW_STEPS", 7)
+    drift = eig_cos512.drift if "drift" in fields else None
+    potential = vcos512 if "potential" in fields else None
+    density = gibbs_density(eig_cos512)
+    cfg = McConfig(n_paths=n_paths, dt=1e-3, seed=12)
+    for start in (0.3, -1e-20, density):
+        for stride in (1, 3, None):
+            ens = simulate_paths(vcos512.grid, drift, start, 0.102, cfg,
+                                 potential=potential, record_stride=stride)
+            positions, integrals = euler_paths(
+                None if drift is None else drift.values,
+                None if potential is None else potential.values,
+                (lambda u: sample_from_density(density, u))
+                if start is density else start,
+                102, 1e-3, n_paths, 12, 102 if stride is None else stride)
+            assert np.array_equal(ens.positions, positions)
+            if potential is None:
+                assert ens.potential_integrals is None
+            else:
+                assert np.array_equal(ens.potential_integrals, integrals)
+
+
+def test_scalar_and_vectorized_walks_agree(vcos512, eig_cos512, monkeypatch):
+    # 9000 steps: the default window leaves a ragged last window of 808
+    cfg = McConfig(n_paths=5, dt=1e-3, seed=13)
+    runs = []
+    for crossover in (0, 10**9):
+        monkeypatch.setattr(mc, "_SCALAR_PATHS", crossover)
+        runs.append(simulate_paths(vcos512.grid, eig_cos512.drift,
+                                   gibbs_density(eig_cos512), 9.0, cfg,
+                                   potential=vcos512, record_stride=3))
+    vectorized, scalar = runs
+    assert np.array_equal(vectorized.positions, scalar.positions)
+    assert np.array_equal(vectorized.potential_integrals,
+                          scalar.potential_integrals)
+
+
+def test_memory_flat_in_horizon_one_path(vcos512, eig_cos512):
+    # 5000 and 20000 steps both exceed the scalar walk's window; converting
+    # the whole horizon to Python floats would add about 600 KB
+    cfg = McConfig(n_paths=1, dt=1e-4, seed=4)
+
+    def peak_bytes(T):
+        tracemalloc.start()
+        try:
+            simulate_paths(vcos512.grid, eig_cos512.drift, 0.3, T, cfg,
+                           potential=vcos512)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    short, long = peak_bytes(0.5), peak_bytes(2.0)
+    assert long - short < 64 * 1024
