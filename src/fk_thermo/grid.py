@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -75,7 +76,7 @@ class GridFunction:
             raise ValueError(
                 f"values must have shape ({self.grid.n},), got {vals.shape}"
             )
-        if not np.all(np.isfinite(vals)):
+        if not np.isfinite(vals).all():
             raise ValueError("grid function values must be finite")
         vals = vals.copy()
         vals.setflags(write=False)
@@ -241,8 +242,23 @@ class HarmonicSpec:
         return GridFunction(grid, vals)
 
 
-def _angular_wavenumbers(grid: PeriodicGrid) -> np.ndarray:
-    return 2.0 * np.pi * np.fft.rfftfreq(grid.n, d=grid.h)
+@lru_cache(maxsize=None)
+def _multiplier(n: int, order: int) -> np.ndarray:
+    """Read-only Fourier symbol of d^order/dx^order on n nodes, rfft layout."""
+    k = 2.0 * np.pi * np.fft.rfftfreq(n, d=1.0 / n)
+    if order == 1:
+        mult = 1j * k
+        mult[-1] = 0.0
+    else:
+        mult = -(k**2)
+    mult.setflags(write=False)
+    return mult
+
+
+def _derivative_values(values: np.ndarray, order: int) -> np.ndarray:
+    """derivative() on raw nodal samples: the same FFTs, multiplier and bits."""
+    n = values.shape[0]
+    return np.fft.irfft(np.fft.rfft(values) * _multiplier(n, order), n)
 
 
 def derivative(f: GridFunction, order: int = 1) -> GridFunction:
@@ -250,18 +266,13 @@ def derivative(f: GridFunction, order: int = 1) -> GridFunction:
 
     Exact for harmonic content below the Nyquist mode.  The Nyquist mode is
     dropped for the first derivative (its sampled derivative is odd and
-    unrepresentable on the grid).
+    unrepresentable on the grid).  The multiplier i k or -k^2 is built once
+    per (n, order) and cached read-only, so a call costs one rfft, one
+    product and one irfft.
     """
     if order not in (1, 2):
         raise ValueError(f"derivative order must be 1 or 2, got {order}")
-    k = _angular_wavenumbers(f.grid)
-    coef = np.fft.rfft(f.values)
-    if order == 1:
-        mult = 1j * k
-        mult[-1] = 0.0
-    else:
-        mult = -(k**2)
-    return GridFunction(f.grid, np.fft.irfft(coef * mult, f.grid.n))
+    return GridFunction(f.grid, _derivative_values(f.values, order))
 
 
 def integrate(f: GridFunction) -> float:

@@ -35,7 +35,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import LinearOperator, cg, splu
 
-from .grid import GridFunction, HarmonicSpec, PeriodicGrid, derivative, integrate
+from .grid import (GridFunction, HarmonicSpec, PeriodicGrid, _derivative_values,
+                   derivative, integrate)
 from .mc import McConfig, simulate_paths
 from .spectral import (EigenSolution, NonConvergence, PositivityViolation,
                        build_generator, inverse_iteration)
@@ -91,28 +92,32 @@ class AdmissibleDrift:
     mass: float
 
     def __post_init__(self) -> None:
-        if np.any(self.density.values <= 0):
+        rho = self.density.values
+        if (rho <= 0).any():
             raise ValueError("invariant density must be positive")
-        total = integrate(self.density)
+        total = float(self.density.grid.h * rho.sum())
         if abs(total - 1.0) > 1e-10:
             raise ValueError(f"invariant density integrates to {total}, not 1")
 
 
 def admissible_from_values(g: GridFunction) -> AdmissibleDrift:
     """Build the drift representation from sampled g via Fourier derivatives."""
-    span = float(np.max(g.values) - np.min(g.values))
+    grid, vals = g.grid, g.values
+    top = vals.max()
+    span = float(top - vals.min())
     if span > 300.0:
         raise ValueError(
             f"drift potential spans {span:.3g} > 300; exp(2g) would overflow"
         )
-    drift = derivative(g, 1)
-    curvature = derivative(drift, 1)
-    weights = np.exp(2.0 * (g.values - np.max(g.values)))
-    mass_shifted = g.grid.h * float(np.sum(weights))
-    density = GridFunction(g.grid, weights / mass_shifted)
-    mass = mass_shifted * float(np.exp(2.0 * np.max(g.values)))
-    return AdmissibleDrift(potential=g, drift=drift, curvature=curvature,
-                           density=density, mass=mass)
+    drift = _derivative_values(vals, 1)
+    curvature = _derivative_values(drift, 1)
+    weights = np.exp(2.0 * (vals - top))
+    mass_shifted = grid.h * float(weights.sum())
+    mass = mass_shifted * float(np.exp(2.0 * top))
+    return AdmissibleDrift(potential=g, drift=GridFunction(grid, drift),
+                           curvature=GridFunction(grid, curvature),
+                           density=GridFunction(grid, weights / mass_shifted),
+                           mass=mass)
 
 
 def admissible_from_spec(spec: HarmonicSpec, grid: PeriodicGrid) -> AdmissibleDrift:
@@ -173,8 +178,11 @@ def relative_entropy(ad: AdmissibleDrift) -> float:
     agree on the circle, so a mismatch indicates broken differentiation or
     quadrature rather than a property of the input.
     """
-    direct = 0.5 * integrate((ad.curvature + ad.drift * ad.drift) * ad.density)
-    by_parts = -0.5 * integrate(ad.drift * ad.drift * ad.density)
+    h = ad.density.grid.h
+    drift, rho = ad.drift.values, ad.density.values
+    square = drift * drift
+    direct = 0.5 * float(h * ((ad.curvature.values + square) * rho).sum())
+    by_parts = -0.5 * float(h * (square * rho).sum())
     if abs(direct - by_parts) > 1e-9:
         raise EntropyMismatch(
             f"entropy forms disagree by {abs(direct - by_parts):.3e}"
@@ -207,7 +215,8 @@ def entropy_finite_T_mc(ad: AdmissibleDrift, T: float,
 
 def pressure_value(ad: AdmissibleDrift, V: GridFunction) -> float:
     """Pressure functional: entropy rate plus invariant mean of the potential."""
-    return relative_entropy(ad) + integrate(V * ad.density)
+    mean_potential = float(V.grid.h * (V.values * ad.density.values).sum())
+    return relative_entropy(ad) + mean_potential
 
 
 def pressure_decomposition(
@@ -232,8 +241,8 @@ def pressure_decomposition(
         residual_eigenvalue = eigenvalue
     gaps, residuals = [], []
     for ad in ads:
-        diff = reference.drift - ad.drift
-        gap = 0.5 * integrate(diff * diff * ad.density)
+        diff = reference.drift.values - ad.drift.values
+        gap = 0.5 * float(V.grid.h * (diff * diff * ad.density.values).sum())
         gaps.append(gap)
         residuals.append(abs(residual_eigenvalue - pressure_value(ad, V) - gap))
     return gaps, residuals, tolerance
@@ -298,9 +307,18 @@ def make_entropy_report(ad: AdmissibleDrift, V: GridFunction,
 
 @dataclass(frozen=True)
 class MaximizeResult:
+    """Outcome of maximize_pressure.
+
+    grad_norm is the coefficient gradient's norm at the returned spec, and
+    stop says why the ascent ended: "gradient" when that norm fell below
+    1e-8, "budget" when the iterations ran out with the trace settled.
+    """
+
     spec: HarmonicSpec
     value: float
     trace: tuple  # rows (iteration, value, grad_norm)
+    grad_norm: float
+    stop: str
 
 
 def _pressure_variation(ad: AdmissibleDrift, V: GridFunction,
@@ -313,12 +331,11 @@ def _pressure_variation(ad: AdmissibleDrift, V: GridFunction,
     exactly skew-symmetric, so moving it across the sum gives
     w = D(D(mu/2)) - D(mu g') + 2 mu (a - P).
     """
-    grid = V.grid
-    mu = GridFunction(grid, ad.density.values * grid.h)
-    a = V + (ad.curvature + ad.drift * ad.drift) * 0.5
-    w = (derivative(derivative(mu * 0.5, 1), 1) - derivative(mu * ad.drift, 1)
-         + mu * (a - value) * 2.0)
-    return w.values
+    drift = ad.drift.values
+    mu = ad.density.values * V.grid.h
+    a = V.values + (ad.curvature.values + drift * drift) * 0.5
+    return (_derivative_values(_derivative_values(mu * 0.5, 1), 1)
+            - _derivative_values(mu * drift, 1) + mu * (a - value) * 2.0)
 
 
 def maximize_pressure(V: GridFunction, K: int, lr: float,
@@ -327,10 +344,11 @@ def maximize_pressure(V: GridFunction, K: int, lr: float,
 
     The drift potential is parameterized by the 2K Fourier coefficients of
     its first K harmonics (the constant mode drops out of every functional).
-    Each evaluation returns the pressure together with its exact discrete
-    gradient (_pressure_variation projected on the basis), taken from the
-    same drift representation, so the ascent follows the derivative of the
-    very function it climbs.  A backtracking line search (halve the rate on
+    Each candidate costs one pressure evaluation; the exact discrete
+    gradient (_pressure_variation projected on the basis) is then taken
+    from the same drift representation for the start and for each accepted
+    candidate only, so the ascent follows the derivative of the very
+    function it climbs.  A backtracking line search (halve the rate on
     decrease, at most 30 times) keeps the value trace nondecreasing.  Stops
     when the gradient norm falls below 1e-8 or after iters iterations;
     raises NonConvergence if the trace is still moving with a
@@ -350,13 +368,16 @@ def maximize_pressure(V: GridFunction, K: int, lr: float,
         basis[k - 1] = np.cos(2 * np.pi * k * x)
         basis[K + k - 1] = np.sin(2 * np.pi * k * x)
 
-    def point(theta: np.ndarray) -> tuple[float, np.ndarray]:
+    def point(theta: np.ndarray) -> tuple[AdmissibleDrift, float]:
         ad = admissible_from_values(GridFunction(grid, theta @ basis))
-        value = pressure_value(ad, V)
-        return value, basis @ _pressure_variation(ad, V, value)
+        return ad, pressure_value(ad, V)
+
+    def gradient(ad: AdmissibleDrift, value: float) -> np.ndarray:
+        return basis @ _pressure_variation(ad, V, value)
 
     theta = np.zeros(2 * K)
-    current, grad = point(theta)
+    ad, current = point(theta)
+    grad = gradient(ad, current)
     rate = lr
     gnorm = float(np.linalg.norm(grad))
     trace: list[tuple[int, float, float]] = [(0, current, gnorm)]
@@ -367,9 +388,10 @@ def maximize_pressure(V: GridFunction, K: int, lr: float,
         step = rate
         for _ in range(31):
             candidate = theta + step * grad
-            cand_value, cand_grad = point(candidate)
+            ad, cand_value = point(candidate)
             if cand_value >= current:
-                theta, current, grad = candidate, cand_value, cand_grad
+                theta, current = candidate, cand_value
+                grad = gradient(ad, current)
                 rate = min(lr, step * 2.0)
                 break
             step *= 0.5
@@ -392,4 +414,6 @@ def maximize_pressure(V: GridFunction, K: int, lr: float,
         spec=HarmonicSpec(constant=0.0, harmonics=harmonics),
         value=current,
         trace=tuple(trace),
+        grad_norm=gnorm,
+        stop="gradient" if gnorm < 1e-8 else "budget",
     )

@@ -227,6 +227,25 @@ class TestDerivative:
         with pytest.raises(ValueError):
             derivative(f, 3)
 
+    @pytest.mark.parametrize("n", [64, 256, 384, 4096])
+    def test_cached_multiplier_keeps_the_bits(self, n):
+        grid = make_grid(n)
+        # Random nodal values, so the dropped Nyquist mode is not zero.
+        f = GridFunction(grid, np.random.default_rng(n).normal(size=n))
+        k = 2.0 * np.pi * np.fft.rfftfreq(n, d=grid.h)
+        first = 1j * k
+        first[-1] = 0.0
+        for order, mult in ((1, first), (2, -(k**2))):
+            expected = np.fft.irfft(np.fft.rfft(f.values) * mult, n)
+            assert np.array_equal(derivative(f, order).values, expected)
+            cached = grid_module._multiplier(n, order)
+            assert cached is grid_module._multiplier(n, order)
+            assert not cached.flags.writeable
+            with pytest.raises(ValueError):
+                cached[0] = 1.0
+        with pytest.raises(ValueError, match="order"):
+            derivative(f, 3)
+
     def test_linearity(self):
         grid = make_grid(128)
         rng = np.random.default_rng(11)

@@ -303,6 +303,44 @@ class TestMaximizePressure:
         assert len(result.trace) == 61
         assert len(calls) <= 3 * 60
 
+    def test_gradient_only_for_start_and_accepted_steps(self, vcos256,
+                                                        monkeypatch):
+        pressure_calls, gradient_values = [], []
+        variation = thermo._pressure_variation
+
+        def counted_value(ad, V):
+            pressure_calls.append(1)
+            return pressure_value(ad, V)
+
+        def counted_variation(ad, V, value):
+            gradient_values.append(value)
+            return variation(ad, V, value)
+
+        monkeypatch.setattr(thermo, "pressure_value", counted_value)
+        monkeypatch.setattr(thermo, "_pressure_variation", counted_variation)
+        result = maximize_pressure(vcos256, K=8, lr=0.2, iters=60)
+        values = [row[1] for row in result.trace]
+        rises = [b for a, b in zip(values, values[1:]) if b > a]
+        # One gradient at the start, then one per accepted candidate.
+        assert gradient_values[0] == values[0]
+        assert len(rises) + 1 <= len(gradient_values) <= len(result.trace)
+        assert set(gradient_values) <= set(values)
+        assert len(gradient_values) < len(pressure_calls)
+
+    def test_stop_reason_gradient(self):
+        grid = make_grid(128)
+        result = maximize_pressure(zero_fn(grid), K=4, lr=0.1, iters=50)
+        assert result.stop == "gradient"
+        assert result.grad_norm < 1e-8
+        assert result.grad_norm == result.trace[-1][2]
+
+    def test_stop_reason_budget(self, vcos256):
+        result = maximize_pressure(vcos256, K=4, lr=0.2, iters=60)
+        assert result.stop == "budget"
+        assert len(result.trace) == 61
+        assert result.grad_norm >= 1e-8
+        assert result.grad_norm == result.trace[-1][2]
+
     def test_budget_exhaustion_raises(self, vcos256):
         from fk_thermo import NonConvergence
         with pytest.raises(NonConvergence):
@@ -365,3 +403,55 @@ class TestEigenConsistentDrift:
         sol = principal_eigenpair(build_generator(V))
         with pytest.raises(PositivityViolation):
             admissible_from_eigen(sol, V)
+
+
+class TestRawArrayFormsAreBitwise:
+    """The pressure functions compute on raw arrays; each must keep the bits
+    of its GridFunction-form expression built from derivative, integrate and
+    GridFunction arithmetic."""
+
+    @pytest.fixture(params=[64, 256, 384, 4096])
+    def case(self, request):
+        grid = make_grid(request.param)
+        rng = np.random.default_rng(request.param + 7)
+        drifts = [random_harmonic(grid, rng, scale=0.5) for _ in range(3)]
+        V = HarmonicSpec(harmonics=[(1, 1.0, 0.0), (2, 0.0, 0.5)]).sample(grid)
+        return V, drifts
+
+    def test_admissible_fields(self, case):
+        _, drifts = case
+        for g in drifts:
+            ad = admissible_from_values(g)
+            drift = derivative(g, 1)
+            curvature = derivative(drift, 1)
+            weights = np.exp(2.0 * (g.values - np.max(g.values)))
+            mass_shifted = g.grid.h * float(np.sum(weights))
+            assert ad.potential is g
+            assert np.array_equal(ad.drift.values, drift.values)
+            assert np.array_equal(ad.curvature.values, curvature.values)
+            assert np.array_equal(ad.density.values, weights / mass_shifted)
+            assert ad.mass == mass_shifted * float(np.exp(2.0 * np.max(g.values)))
+
+    def test_entropy_pressure_and_variation(self, case):
+        V, drifts = case
+        for g in drifts:
+            ad = admissible_from_values(g)
+            entropy = 0.5 * integrate((ad.curvature + ad.drift * ad.drift)
+                                      * ad.density)
+            pressure = entropy + integrate(V * ad.density)
+            assert relative_entropy(ad) == entropy
+            assert pressure_value(ad, V) == pressure
+            mu = GridFunction(g.grid, ad.density.values * g.grid.h)
+            a = V + (ad.curvature + ad.drift * ad.drift) * 0.5
+            w = (derivative(derivative(mu * 0.5, 1), 1)
+                 - derivative(mu * ad.drift, 1) + mu * (a - pressure) * 2.0)
+            assert np.array_equal(thermo._pressure_variation(ad, V, pressure),
+                                  w.values)
+
+    def test_decomposition_gap(self, case):
+        V, drifts = case
+        reference, *others = [admissible_from_values(g) for g in drifts]
+        gaps, _, _ = pressure_decomposition(others, reference, V, 0.0)
+        for ad, gap in zip(others, gaps):
+            diff = reference.drift - ad.drift
+            assert gap == 0.5 * integrate(diff * diff * ad.density)
