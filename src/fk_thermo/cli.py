@@ -222,6 +222,8 @@ def cmd_maximize(cfg: RunConfig) -> int:
     report = make_entropy_report(ad, V, sol)
     payload = _report_dict(report)
     payload["iterations"] = len(result.trace) - 1
+    payload["stop"] = result.stop
+    payload["grad_norm"] = result.grad_norm
     write_json(out / "maximize.json", payload)
     write_csv(out / "trace.csv", ["iter", "value", "grad_norm"],
               [[row[0] for row in result.trace],

@@ -244,13 +244,15 @@ class HarmonicSpec:
 
 @lru_cache(maxsize=None)
 def _multiplier(n: int, order: int) -> np.ndarray:
-    """Read-only Fourier symbol of d^order/dx^order on n nodes, rfft layout."""
+    """Read-only Fourier symbol of d^order/dx^order on n nodes, rfft layout.
+
+    The first derivative's symbol i k keeps its Nyquist entry: rfft of real
+    samples gives a real Nyquist coefficient, its product with i k is
+    imaginary, and irfft reads only the real part of that bin, so the mode
+    drops out all the same.
+    """
     k = 2.0 * np.pi * np.fft.rfftfreq(n, d=1.0 / n)
-    if order == 1:
-        mult = 1j * k
-        mult[-1] = 0.0
-    else:
-        mult = -(k**2)
+    mult = 1j * k if order == 1 else -(k**2)
     mult.setflags(write=False)
     return mult
 

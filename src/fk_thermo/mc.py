@@ -39,6 +39,7 @@ _CHUNK_DOUBLES = 1 << 21  # 16 MiB increment buffer per block of paths
 _BLOCK_PATHS = 20_000  # paths stepped together
 _SCALAR_PATHS = 24  # narrower blocks step path by path on Python floats
 _WINDOW_STEPS = 4096  # steps drawn and converted at once by the scalar walk
+_WORD = 2**64 - 1  # mask of one 64-bit word of a Philox key or counter
 
 
 @dataclass(frozen=True)
@@ -68,14 +69,20 @@ class _PhiloxKey(ISeedSequence):
     """
 
     def __init__(self, seed: int) -> None:
-        self._words = np.array([seed & (2**64 - 1), seed >> 64], dtype=np.uint64)
+        self._words = np.array([seed & _WORD, seed >> 64], dtype=np.uint64)
 
     def generate_state(self, n_words, dtype=np.uint32):
         return self._words
 
     def stream(self, index: int) -> np.random.Generator:
-        """The stream of path index: the Philox counter starts at index << 128."""
-        return np.random.Generator(np.random.Philox(self, counter=index << 128))
+        """The stream of path index: the Philox counter starts at index << 128.
+
+        The counter goes in as its four 64-bit words, low first; numpy
+        would split the integer index << 128 into the same words in Python,
+        at several times the cost.
+        """
+        counter = np.array([0, 0, index & _WORD, index >> 64], dtype=np.uint64)
+        return np.random.Generator(np.random.Philox(self, counter=counter))
 
 
 @dataclass(frozen=True)
@@ -196,8 +203,10 @@ def simulate_paths(
 
     start is either a fixed circle point or an initial density to sample by
     inverse CDF.  Off-node drift and potential values come from periodic
-    linear interpolation.  record_stride controls which steps land in the
-    ensemble (None records endpoints only); it must divide the step count.
+    linear interpolation; a drift that is zero at every node is not read at
+    all, since adding +-0.0 dt to an increment moves no path.
+    record_stride controls which steps land in the ensemble (None records
+    endpoints only); it must divide the step count.
 
     Paths run in blocks of _BLOCK_PATHS.  A block keeps its paths' streams
     and draws their increments step chunk by step chunk into one reused
@@ -241,6 +250,8 @@ def simulate_paths(
         raise ValueError("drift lives on a different grid")
     if potential is not None and potential.grid != grid:
         raise ValueError("potential lives on a different grid")
+    if drift is not None and not drift.values.any():
+        drift = None
     # potential first, drift last: read(x)[0] and read(x)[-1]
     fields = [f for f in (potential, drift) if f is not None]
     read = periodic_reader(grid, *fields)

@@ -311,7 +311,8 @@ class MaximizeResult:
 
     grad_norm is the coefficient gradient's norm at the returned spec, and
     stop says why the ascent ended: "gradient" when that norm fell below
-    1e-8, "budget" when the iterations ran out with the trace settled.
+    1e-8, "flat" when no step could rise above the pressure's roundoff,
+    "budget" when the iterations ran out with the trace settled.
     """
 
     spec: HarmonicSpec
@@ -340,7 +341,7 @@ def _pressure_variation(ad: AdmissibleDrift, V: GridFunction,
 
 def maximize_pressure(V: GridFunction, K: int, lr: float,
                       iters: int) -> MaximizeResult:
-    """Gradient ascent of the pressure over harmonic drift potentials.
+    """Quasi-Newton (BFGS) ascent of the pressure over harmonic drift potentials.
 
     The drift potential is parameterized by the 2K Fourier coefficients of
     its first K harmonics (the constant mode drops out of every functional).
@@ -348,11 +349,21 @@ def maximize_pressure(V: GridFunction, K: int, lr: float,
     gradient (_pressure_variation projected on the basis) is then taken
     from the same drift representation for the start and for each accepted
     candidate only, so the ascent follows the derivative of the very
-    function it climbs.  A backtracking line search (halve the rate on
-    decrease, at most 30 times) keeps the value trace nondecreasing.  Stops
-    when the gradient norm falls below 1e-8 or after iters iterations;
-    raises NonConvergence if the trace is still moving with a
-    non-negligible gradient at the end.
+    function it climbs.  The search direction is H grad, where H is the
+    BFGS inverse-Hessian estimate (Nocedal & Wright, Numerical
+    Optimization, ch. 6): lr I for the first step, then rescaled to
+    (s.y / y.y) I before the first update (Shanno-Phua), and not updated
+    when s.y <= 0.  Backtracking from the unit step takes the maximizer of
+    the quadratic through the value and slope at the start and the value at
+    the rejected step, kept within [0.1, 0.5] of that step, until the rise
+    meets the Armijo condition; the value trace therefore never decreases.
+
+    Stops when the gradient norm falls below 1e-8 ("gradient"), when the
+    predicted rise step * slope falls to 4 eps max(1, |P|) before a
+    candidate is accepted, so no rise is possible at roundoff ("flat"), or
+    after iters iterations ("budget").  A budget stop raises NonConvergence
+    if the trace is still moving with a non-negligible gradient.  The trace
+    has one row per accepted step.
     """
     grid = V.grid
     if K < 1 or K > grid.n // 4:
@@ -378,30 +389,46 @@ def maximize_pressure(V: GridFunction, K: int, lr: float,
     theta = np.zeros(2 * K)
     ad, current = point(theta)
     grad = gradient(ad, current)
-    rate = lr
     gnorm = float(np.linalg.norm(grad))
     trace: list[tuple[int, float, float]] = [(0, current, gnorm)]
+    inverse = None  # lr I until the first update
+    stop = "budget"
 
     for it in range(1, iters + 1):
         if gnorm < 1e-8:
             break
-        step = rate
-        for _ in range(31):
-            candidate = theta + step * grad
-            ad, cand_value = point(candidate)
-            if cand_value >= current:
-                theta, current = candidate, cand_value
-                grad = gradient(ad, current)
-                rate = min(lr, step * 2.0)
+        direction = lr * grad if inverse is None else inverse @ grad
+        slope = float(grad @ direction)
+        roundoff = 4.0 * np.finfo(float).eps * max(1.0, abs(current))
+        step = 1.0
+        while step * slope > roundoff:
+            candidate = theta + step * direction
+            ad, value = point(candidate)
+            rise = value - current
+            if rise >= 1e-4 * step * slope:
                 break
-            step *= 0.5
+            peak = 0.5 * slope * step * step / (slope * step - rise)
+            step = min(max(peak, 0.1 * step), 0.5 * step)
         else:
-            rate = step
+            stop = "flat"
+            break
+        new_grad = gradient(ad, value)
+        s, y = candidate - theta, grad - new_grad
+        sy = float(s @ y)
+        if sy > 0:
+            if inverse is None:
+                inverse = sy / float(y @ y) * np.eye(2 * K)
+            left = np.eye(2 * K) - np.outer(s, y) / sy
+            inverse = left @ inverse @ left.T + np.outer(s, s) / sy
+        theta, current, grad = candidate, value, new_grad
         gnorm = float(np.linalg.norm(grad))
         trace.append((it, current, gnorm))
+    if gnorm < 1e-8:
+        stop = "gradient"
 
     values_tail = [v for _, v, _ in trace[-10:]]
-    if gnorm >= 1e-6 and max(values_tail) - min(values_tail) > 1e-6:
+    if (stop == "budget" and gnorm >= 1e-6
+            and max(values_tail) - min(values_tail) > 1e-6):
         raise NonConvergence(
             f"ascent still moving after {iters} iterations "
             f"(gradient norm {gnorm:.3e})"
@@ -415,5 +442,5 @@ def maximize_pressure(V: GridFunction, K: int, lr: float,
         value=current,
         trace=tuple(trace),
         grad_norm=gnorm,
-        stop="gradient" if gnorm < 1e-8 else "budget",
+        stop=stop,
     )

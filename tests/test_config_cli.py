@@ -247,8 +247,27 @@ class TestCliCommands:
         assert main(["maximize", "--config", cfg, f"--run.out={out}"]) == 0
         report = json.loads((out / "maximize.json").read_text())
         assert abs(report["pressure"]) < 1e-6
+        assert report["stop"] == "gradient"
+        assert report["grad_norm"] < 1e-8
         lines = (out / "trace.csv").read_text().splitlines()
         assert lines[0] == "iter,value,grad_norm"
+        # With a potential the ascent climbs; repeated runs keep every byte.
+        outs = []
+        for name in ("a", "b"):
+            out = tmp_path / name
+            assert main(["maximize", "--config", cfg, f"--run.out={out}",
+                         "--potential.harmonics=[[1, 1, 0]]",
+                         "--run.iters=50"]) == 0
+            outs.append([(out / f).read_bytes()
+                         for f in ("maximize.json", "trace.csv")])
+        assert outs[0] == outs[1]
+        report = json.loads(outs[0][0])
+        assert list(report) == ["entropy", "mean_potential", "pressure", "gap",
+                                "lambda", "iterations", "stop", "grad_norm"]
+        assert report["stop"] in ("gradient", "flat")
+        last = outs[0][1].decode().splitlines()[-1].split(",")
+        assert int(last[0]) == report["iterations"]
+        assert float(last[2]) == report["grad_norm"]
 
     def test_meta_json_bytes(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

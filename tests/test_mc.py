@@ -1,5 +1,6 @@
-"""Path engine: streamed increments, block and chunk independence, the scalar
-walk of narrow blocks, the memory guard."""
+"""Path engine: per-path streams, streamed increments, block and chunk
+independence, the scalar walk of narrow blocks, zero drifts, the memory
+guard."""
 
 import tracemalloc
 
@@ -7,11 +8,59 @@ import numpy as np
 import pytest
 
 import fk_thermo.mc as mc
-from fk_thermo import (HarmonicSpec, McConfig, gibbs_density, make_grid,
-                       simulate_paths)
+from fk_thermo import (GridFunction, HarmonicSpec, McConfig, gibbs_density,
+                       make_grid, simulate_paths)
 from fk_thermo.mc import sample_from_density
 
 from oracles import euler_paths
+
+
+@pytest.mark.parametrize("seed", [12345, 2**64 + 99])
+@pytest.mark.parametrize("index", [0, 1, 2**40 + 3, 2**64 - 1, 2**64 + 5])
+def test_stream_is_philox_at_key_seed_and_counter_index(seed, index):
+    # The counter goes in as words; the contract is Philox(key=seed,
+    # counter=index << 128), across the 64-bit word boundary too.
+    stream = mc._PhiloxKey(seed).stream(index)
+    reference = np.random.Generator(
+        np.random.Philox(key=seed, counter=index << 128))
+    state, expected = stream.bit_generator.state, reference.bit_generator.state
+    assert state.keys() == expected.keys()
+    for name in ("counter", "key"):
+        assert np.array_equal(state["state"][name], expected["state"][name])
+    for name in ("buffer", "buffer_pos", "has_uint32", "uinteger"):
+        assert np.array_equal(state[name], expected[name])
+    assert np.array_equal(stream.standard_normal(1000),
+                          reference.standard_normal(1000))
+
+
+@pytest.mark.parametrize("with_potential", [False, True])
+@pytest.mark.parametrize("stride", [1, None])
+@pytest.mark.parametrize("n_paths", [5, 600])
+def test_zero_drift_walks_as_no_drift(vcos512, n_paths, stride,
+                                      with_potential):
+    # 5 paths take the scalar walk, 600 the index lookup; a drift of +0.0
+    # or -0.0 at every node gives the bits of no drift and of the
+    # reference walk reading the zero table.
+    grid = vcos512.grid
+    potential = vcos512 if with_potential else None
+    cfg = McConfig(n_paths=n_paths, dt=1e-3, seed=21)
+    none = simulate_paths(grid, None, 0.3, 0.05, cfg, potential=potential,
+                          record_stride=stride)
+    positions, integrals = euler_paths(
+        np.zeros(grid.n), None if potential is None else potential.values,
+        0.3, 50, 1e-3, n_paths, 21, 50 if stride is None else stride)
+    assert np.array_equal(none.positions, positions)
+    for zero in (0.0, -0.0):
+        drift = GridFunction(grid, np.full(grid.n, zero))
+        ens = simulate_paths(grid, drift, 0.3, 0.05, cfg, potential=potential,
+                             record_stride=stride)
+        assert np.array_equal(ens.positions, none.positions)
+        if potential is None:
+            assert ens.potential_integrals is None
+        else:
+            assert np.array_equal(ens.potential_integrals,
+                                  none.potential_integrals)
+            assert np.array_equal(ens.potential_integrals, integrals)
 
 
 @pytest.mark.parametrize("stride", [1, None])

@@ -300,8 +300,7 @@ class TestMaximizePressure:
 
         monkeypatch.setattr(thermo, "pressure_value", counted)
         result = maximize_pressure(vcos256, K=8, lr=0.2, iters=60)
-        assert len(result.trace) == 61
-        assert len(calls) <= 3 * 60
+        assert len(calls) <= 3 * (len(result.trace) - 1)
 
     def test_gradient_only_for_start_and_accepted_steps(self, vcos256,
                                                         monkeypatch):
@@ -335,16 +334,41 @@ class TestMaximizePressure:
         assert result.grad_norm == result.trace[-1][2]
 
     def test_stop_reason_budget(self, vcos256):
-        result = maximize_pressure(vcos256, K=4, lr=0.2, iters=60)
+        # Ten steps bring the gradient near 1e-7, settled but not below 1e-8.
+        result = maximize_pressure(vcos256, K=8, lr=0.2, iters=10)
         assert result.stop == "budget"
-        assert len(result.trace) == 61
+        assert len(result.trace) == 11
+        assert 1e-8 <= result.grad_norm < 1e-6
+        assert result.grad_norm == result.trace[-1][2]
+
+    def test_stop_reason_flat(self, vcos256, monkeypatch):
+        calls = []
+
+        def counted(ad, V):
+            calls.append(1)
+            return pressure_value(ad, V)
+
+        monkeypatch.setattr(thermo, "pressure_value", counted)
+        # Well inside the budget, the gradient still above 1e-8, yet no step
+        # can rise above the pressure's roundoff.
+        result = maximize_pressure(vcos256, K=8, lr=0.2, iters=60)
+        assert result.stop == "flat"
+        assert len(result.trace) <= 30
         assert result.grad_norm >= 1e-8
         assert result.grad_norm == result.trace[-1][2]
+        # A potential so weak that the first step's predicted rise,
+        # lr |grad|^2 = 1.8e-16, is below roundoff stops before any step.
+        calls.clear()
+        weak = vcos256 * 3e-8
+        result = maximize_pressure(weak, K=8, lr=0.2, iters=60)
+        assert result.stop == "flat"
+        assert len(result.trace) == 1 and len(calls) == 1
+        assert result.grad_norm == pytest.approx(3e-8, rel=1e-6)
 
     def test_budget_exhaustion_raises(self, vcos256):
         from fk_thermo import NonConvergence
         with pytest.raises(NonConvergence):
-            maximize_pressure(vcos256, K=4, lr=0.01, iters=12)
+            maximize_pressure(vcos256, K=4, lr=0.01, iters=3)
 
     def test_parameter_validation(self, vcos256):
         with pytest.raises(ValueError):
