@@ -1,9 +1,12 @@
 """Command-line front end: eigen, propagate, simulate, entropy, maximize, verify.
 
 Every command reads a sectioned key=value config (plus --section.key=value
-overrides), writes a meta.json echo of the fully resolved settings next to
-its outputs, and emits deterministic CSV/JSON (fixed float formatting, fixed
-key order), so identical configs reproduce byte-identical files.
+overrides).  Once the config parses, a meta.json echo of the fully resolved
+settings is written to run.out before the command runs, so a failed run
+still records its config.  Each cmd_* returns (exit_code, report, tables,
+summary) and main writes them: the CSV tables, then <command>.json, then
+the summary line(s) ending in " -> <out>/<command>.json".  Floats and key
+order are fixed, so identical configs reproduce byte-identical files.
 
 Exit codes: 0 success / all checks pass, 1 verification failure, 2 usage or
 configuration error, 3 named numerical failure (NonConvergence,
@@ -37,7 +40,6 @@ from .thermo import (DecompositionMismatch, EntropyMismatch,
                      maximize_pressure, pressure_decomposition,
                      relative_entropy)
 
-_COMMANDS = ("eigen", "propagate", "simulate", "entropy", "maximize", "verify")
 _NUMERICAL_FAILURES = (NonConvergence, PositivityViolation, DegenerateGap,
                        DecompositionMismatch, EntropyMismatch)
 
@@ -49,91 +51,51 @@ def _solve(cfg: RunConfig):
     return grid, V, solution
 
 
-def _outdir(cfg: RunConfig) -> Path:
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _write_meta(cfg: RunConfig, out: Path, command: str) -> None:
-    write_json(out / "meta.json", {
-        "command": command,
-        "version": __version__,
-        "config": cfg.resolved(),
-    })
-
-
 def _g_section_given(cfg: RunConfig) -> bool:
     return any(key.startswith("g.") for key in cfg.raw)
 
 
-def cmd_eigen(cfg: RunConfig) -> int:
+def cmd_eigen(cfg: RunConfig):
     grid, V, sol = _solve(cfg)
-    out = _outdir(cfg)
-    _write_meta(cfg, out, "eigen")
-    density = gibbs_density(sol)
-    write_csv(out / "eigen.csv",
-              ["x", "V", "F", "density_muV", "drift"],
-              [grid.nodes, V.values, sol.eigenfunction.values,
-               density.values, sol.drift.values])
-    write_json(out / "eigen.json", {
+    tables = {"eigen.csv": (["x", "V", "F", "density_muV", "drift"],
+                            [grid.nodes, V.values, sol.eigenfunction.values,
+                             gibbs_density(sol).values, sol.drift.values])}
+    report = {
         "lambda": sol.eigenvalue,
         "gamma": sol.normalization,
         "spectral_gap": sol.spectral_gap,
         "n": grid.n,
         "critical_points_F": critical_point_count(sol.eigenfunction),
-    })
-    print(f"eigen: lambda={sol.eigenvalue:.12g} gap={sol.spectral_gap:.6g} "
-          f"n={grid.n} -> {out / 'eigen.json'}")
-    return 0
+    }
+    return 0, report, tables, (f"eigen: lambda={sol.eigenvalue:.12g} "
+                               f"gap={sol.spectral_gap:.6g} n={grid.n}")
 
 
-def cmd_propagate(cfg: RunConfig) -> int:
+def cmd_propagate(cfg: RunConfig):
     grid = cfg.build_grid()
     V = cfg.build_potential(grid)
     if _g_section_given(cfg):
         f = cfg.build_g(grid)
     else:
         f = GridFunction(grid, np.ones(grid.n))
-    out = _outdir(cfg)
-    _write_meta(cfg, out, "propagate")
+    tables = {}
+    report = {"method": cfg.method, "t": cfg.t, "dt": cfg.dt, "n": grid.n,
+              "x": cfg.x}
     if cfg.method == "pde":
         u = propagate_pde(V, f, PropagatorConfig(t=cfg.t, dt=cfg.dt))
-        write_csv(out / "propagate.csv", ["x", "u"], [grid.nodes, u.values])
-        report = {
-            "method": "pde",
-            "t": cfg.t,
-            "dt": cfg.dt,
-            "n": grid.n,
-            "x": cfg.x,
-            "value": float(u.interp(cfg.x)),
-        }
+        tables["propagate.csv"] = (["x", "u"], [grid.nodes, u.values])
+        report["value"] = float(u.interp(cfg.x))
     else:
         mc = McConfig(n_paths=cfg.paths, dt=cfg.dt, seed=cfg.seed)
         estimate, std_error = propagate_mc(V, f, cfg.x, mc, cfg.t)
-        report = {
-            "method": "mc",
-            "t": cfg.t,
-            "dt": cfg.dt,
-            "n": grid.n,
-            "x": cfg.x,
-            "paths": cfg.paths,
-            "seed": cfg.seed,
-            "value": estimate,
-            "std_error": std_error,
-        }
-    write_json(out / "propagate.json", report)
-    print(f"propagate[{cfg.method}]: value={report['value']:.12g} "
-          f"-> {out / 'propagate.json'}")
-    return 0
+        report.update(paths=cfg.paths, seed=cfg.seed, value=estimate,
+                      std_error=std_error)
+    return 0, report, tables, f"propagate[{cfg.method}]: value={report['value']:.12g}"
 
 
-def cmd_simulate(cfg: RunConfig) -> int:
+def cmd_simulate(cfg: RunConfig):
     grid = cfg.build_grid()
     V = cfg.build_potential(grid)
-    out = _outdir(cfg)
-    _write_meta(cfg, out, "simulate")
-
     sol = None
     if cfg.drift == "doob" or cfg.init == "density:muV":
         sol = principal_eigenpair(build_generator(V))
@@ -168,24 +130,17 @@ def cmd_simulate(cfg: RunConfig) -> int:
     bin_left, counts, empirical = histogram_density(finals, cfg.bins)
     target_bins = bin_density(target, cfg.bins)
     tv = tv_distance(counts / counts.sum(), target_bins)
-    write_csv(out / "histogram.csv",
-              ["bin_left", "count", "empirical_density", "target_density"],
-              [bin_left, counts, empirical, target_bins * cfg.bins])
+    tables = {"histogram.csv": (
+        ["bin_left", "count", "empirical_density", "target_density"],
+        [bin_left, counts, empirical, target_bins * cfg.bins])}
     if cfg.save_paths:
         steps = ens.recorded_steps
         path_ids = np.repeat(np.arange(ens.n_paths), steps.size)
         step_col = np.tile(steps, ens.n_paths)
-        write_csv(out / "paths.csv", ["path_id", "step", "x"],
-                  [path_ids, step_col, ens.positions.ravel()])
-    write_json(out / "simulate.json", {
-        "tv_distance": tv,
-        "n_paths": cfg.paths,
-        "T": cfg.T,
-        "dt": cfg.dt,
-    })
-    print(f"simulate: tv_distance={tv:.6g} paths={cfg.paths} "
-          f"-> {out / 'simulate.json'}")
-    return 0
+        tables["paths.csv"] = (["path_id", "step", "x"],
+                               [path_ids, step_col, ens.positions.ravel()])
+    report = {"tv_distance": tv, "n_paths": cfg.paths, "T": cfg.T, "dt": cfg.dt}
+    return 0, report, tables, f"simulate: tv_distance={tv:.6g} paths={cfg.paths}"
 
 
 def _report_dict(report) -> dict:
@@ -198,40 +153,29 @@ def _report_dict(report) -> dict:
     }
 
 
-def cmd_entropy(cfg: RunConfig) -> int:
+def cmd_entropy(cfg: RunConfig):
     grid, V, sol = _solve(cfg)
     if cfg.g_use == "doob":
         ad = admissible_from_eigen(sol, V)
     else:
         ad = admissible_from_values(cfg.build_g(grid))
     report = make_entropy_report(ad, V, sol)
-    out = _outdir(cfg)
-    _write_meta(cfg, out, "entropy")
-    write_json(out / "entropy.json", _report_dict(report))
-    print(f"entropy: H={report.entropy:.12g} pressure={report.pressure:.12g} "
-          f"lambda={report.lambda_ref:.12g} -> {out / 'entropy.json'}")
-    return 0
+    return 0, _report_dict(report), {}, (
+        f"entropy: H={report.entropy:.12g} pressure={report.pressure:.12g} "
+        f"lambda={report.lambda_ref:.12g}")
 
 
-def cmd_maximize(cfg: RunConfig) -> int:
+def cmd_maximize(cfg: RunConfig):
     grid, V, sol = _solve(cfg)
-    out = _outdir(cfg)
-    _write_meta(cfg, out, "maximize")
     result = maximize_pressure(V, K=cfg.K, lr=cfg.lr, iters=cfg.iters)
     ad = admissible_from_spec(result.spec, grid)
     report = make_entropy_report(ad, V, sol)
-    payload = _report_dict(report)
-    payload["iterations"] = len(result.trace) - 1
-    payload["stop"] = result.stop
-    payload["grad_norm"] = result.grad_norm
-    write_json(out / "maximize.json", payload)
-    write_csv(out / "trace.csv", ["iter", "value", "grad_norm"],
-              [[row[0] for row in result.trace],
-               [row[1] for row in result.trace],
-               [row[2] for row in result.trace]])
-    print(f"maximize: value={result.value:.12g} lambda={sol.eigenvalue:.12g} "
-          f"-> {out / 'maximize.json'}")
-    return 0
+    payload = {**_report_dict(report), "iterations": len(result.trace) - 1,
+               "stop": result.stop, "grad_norm": result.grad_norm}
+    tables = {"trace.csv": (["iter", "value", "grad_norm"],
+                            list(zip(*result.trace)))}
+    return 0, payload, tables, (f"maximize: value={result.value:.12g} "
+                                f"lambda={sol.eigenvalue:.12g}")
 
 
 def run_verify(cfg: RunConfig, perturb_eigenvalue: float = 0.0):
@@ -318,18 +262,18 @@ def run_verify(cfg: RunConfig, perturb_eigenvalue: float = 0.0):
     return code, checks
 
 
-def cmd_verify(cfg: RunConfig, perturb_eigenvalue: float) -> int:
-    out = _outdir(cfg)
-    _write_meta(cfg, out, "verify")
+def cmd_verify(cfg: RunConfig, perturb_eigenvalue: float):
     code, checks = run_verify(cfg, perturb_eigenvalue)
-    write_json(out / "verify.json", {"checks": checks, "exit_code": code})
-    for c in checks:
-        status = "PASS" if c["pass"] else "FAIL"
-        print(f"{status} {c['name']}: value={c['value']:.6g} "
-              f"tolerance={c['tolerance']:.6g}")
-    print(f"verify: {'all checks passed' if code == 0 else 'FAILURES detected'} "
-          f"-> {out / 'verify.json'}")
-    return code
+    lines = [f"{'PASS' if c['pass'] else 'FAIL'} {c['name']}: "
+             f"value={c['value']:.6g} tolerance={c['tolerance']:.6g}"
+             for c in checks]
+    lines.append(f"verify: {'all checks passed' if code == 0 else 'FAILURES detected'}")
+    return code, {"checks": checks, "exit_code": code}, {}, "\n".join(lines)
+
+
+_COMMANDS = {"eigen": cmd_eigen, "propagate": cmd_propagate,
+             "simulate": cmd_simulate, "entropy": cmd_entropy,
+             "maximize": cmd_maximize, "verify": cmd_verify}
 
 
 def main(argv=None) -> int:
@@ -357,18 +301,20 @@ def main(argv=None) -> int:
         print(f"fk-thermo: {exc}", file=sys.stderr)
         return 2
 
+    # The subcommand's own flags (verify's --perturb-eigenvalue) go to it.
+    options = {key: value for key, value in vars(args).items()
+               if key not in ("command", "config")}
+    out = Path(cfg.out)
+    report_path = out / f"{args.command}.json"
     try:
-        if args.command == "eigen":
-            return cmd_eigen(cfg)
-        if args.command == "propagate":
-            return cmd_propagate(cfg)
-        if args.command == "simulate":
-            return cmd_simulate(cfg)
-        if args.command == "entropy":
-            return cmd_entropy(cfg)
-        if args.command == "maximize":
-            return cmd_maximize(cfg)
-        return cmd_verify(cfg, args.perturb_eigenvalue)
+        out.mkdir(parents=True, exist_ok=True)
+        write_json(out / "meta.json", {"command": args.command,
+                                       "version": __version__,
+                                       "config": cfg.resolved()})
+        code, report, tables, summary = _COMMANDS[args.command](cfg, **options)
+        for name, (header, columns) in tables.items():
+            write_csv(out / name, header, columns)
+        write_json(report_path, report)
     except (ConfigError, ValueError, OSError) as exc:
         # precondition violations surfaced by the library are usage errors
         print(f"fk-thermo: {exc}", file=sys.stderr)
@@ -376,6 +322,8 @@ def main(argv=None) -> int:
     except _NUMERICAL_FAILURES as exc:
         print(f"fk-thermo: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
+    print(f"{summary} -> {report_path}")
+    return code
 
 
 if __name__ == "__main__":

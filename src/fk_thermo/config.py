@@ -3,13 +3,15 @@
 Grammar (line oriented): `[section]` headers, `key = value` entries, `#`
 starts a comment.  Values are integers, decimals, bare strings, or bracketed
 numeric lists like [[1,1,0],[2,0,0.5]].  Sections and keys outside the
-schema, duplicate keys, and values violating module preconditions are all
+schema, duplicate keys, non-finite numbers (inf, nan, or a literal such as
+1e999 that overflows), and values violating module preconditions are all
 rejected with the offending line or key named.
 """
 
 from __future__ import annotations
 
 import ast
+import math
 from dataclasses import make_dataclass
 
 from .grid import GridFunction, HarmonicSpec, PeriodicGrid, function_from_csv, make_grid
@@ -175,6 +177,11 @@ def _validate(entries: dict[tuple[str, str], object]) -> RunConfig:
         if not cond:
             raise ConfigError(message)
 
+    for (section, key), kind in _TYPES.items():
+        if kind is float:
+            value = get(section, key)
+            check(math.isfinite(value), f"{section}.{key} must be finite, got {value}")
+
     n = get("grid", "n")
     check(isinstance(n, int) and n >= 4 and n % 2 == 0,
           f"grid.n must be even and >= 4, got {n}")
@@ -189,7 +196,10 @@ def _validate(entries: dict[tuple[str, str], object]) -> RunConfig:
                   f"{section}.harmonics wavenumbers must be positive integers")
             check(int(k) < n // 2,
                   f"{section}.harmonics wavenumber {int(k)} aliases at n={n}")
-            out.append((int(k), float(a), float(b)))
+            a, b = float(a), float(b)
+            check(math.isfinite(a) and math.isfinite(b),
+                  f"{section}.harmonics coefficients must be finite, got {list(item)}")
+            out.append((int(k), a, b))
         ks = [k for k, _, _ in out]
         check(len(ks) == len(set(ks)), f"{section}.harmonics has duplicate wavenumbers")
         return tuple(out)
@@ -228,9 +238,10 @@ def _validate(entries: dict[tuple[str, str], object]) -> RunConfig:
           f"run.init must be point:<x> or density:muV or density:<csv>, got {init!r}")
     if init.startswith("point:"):
         try:
-            float(init.split(":", 1)[1])
+            point = float(init.split(":", 1)[1])
         except ValueError:
             raise ConfigError(f"run.init point value is not a number: {init!r}")
+        check(math.isfinite(point), f"run.init point must be finite, got {init!r}")
     drift = get("run", "drift")
     check(drift in ("doob", "g-spec"),
           f"run.drift must be doob or g-spec, got {drift!r}")

@@ -42,8 +42,10 @@ def dumps_json(obj) -> str:
 
 
 def write_json(path, obj) -> None:
+    """Write obj as JSON; a value that cannot be serialized leaves no file."""
+    text = dumps_json(obj)
     with open(path, "w", newline="") as fh:
-        fh.write(dumps_json(obj))
+        fh.write(text)
 
 
 def write_csv(path, header: list[str], columns: list) -> None:

@@ -100,14 +100,19 @@ class AdmissibleDrift:
             raise ValueError(f"invariant density integrates to {total}, not 1")
 
 
+# Largest max g - min g for which exp(2g) is formed; beyond it e^{2 span}
+# approaches the float range.
+_MAX_SPAN = 300.0
+
+
 def admissible_from_values(g: GridFunction) -> AdmissibleDrift:
     """Build the drift representation from sampled g via Fourier derivatives."""
     grid, vals = g.grid, g.values
     top = vals.max()
     span = float(top - vals.min())
-    if span > 300.0:
+    if span > _MAX_SPAN:
         raise ValueError(
-            f"drift potential spans {span:.3g} > 300; exp(2g) would overflow"
+            f"drift potential spans {span:.3g} > {_MAX_SPAN:g}; exp(2g) would overflow"
         )
     drift = _derivative_values(vals, 1)
     curvature = _derivative_values(drift, 1)
@@ -357,6 +362,8 @@ def maximize_pressure(V: GridFunction, K: int, lr: float,
     the quadratic through the value and slope at the start and the value at
     the rejected step, kept within [0.1, 0.5] of that step, until the rise
     meets the Armijo condition; the value trace therefore never decreases.
+    A candidate whose drift potential spans more than _MAX_SPAN is rejected
+    the same way, with value -inf.
 
     Stops when the gradient norm falls below 1e-8 ("gradient"), when the
     predicted rise step * slope falls to 4 eps max(1, |P|) before a
@@ -379,8 +386,11 @@ def maximize_pressure(V: GridFunction, K: int, lr: float,
         basis[k - 1] = np.cos(2 * np.pi * k * x)
         basis[K + k - 1] = np.sin(2 * np.pi * k * x)
 
-    def point(theta: np.ndarray) -> tuple[AdmissibleDrift, float]:
-        ad = admissible_from_values(GridFunction(grid, theta @ basis))
+    def point(theta: np.ndarray) -> tuple[AdmissibleDrift | None, float]:
+        g = theta @ basis
+        if g.max() - g.min() > _MAX_SPAN:
+            return None, -np.inf  # rejected, so the line search shrinks the step
+        ad = admissible_from_values(GridFunction(grid, g))
         return ad, pressure_value(ad, V)
 
     def gradient(ad: AdmissibleDrift, value: float) -> np.ndarray:

@@ -8,6 +8,7 @@ import pytest
 from fk_thermo import __version__
 from fk_thermo.cli import main, run_verify
 from fk_thermo.config import ConfigError, parse_config
+from fk_thermo.serialize import write_json
 
 MINIMAL = """
 [grid]
@@ -123,6 +124,23 @@ class TestParseConfig:
         cfg = parse_config("[run]\ninit = point:0.125\ndrift = g-spec\n")
         assert cfg.init == "point:0.125"
 
+    @pytest.mark.parametrize("override, key", [
+        ("--run.t=inf", "run.t"),
+        ("--run.dt=nan", "run.dt"),
+        ("--run.T=inf", "run.T"),
+        ("--run.lr=inf", "run.lr"),
+        ("--run.x=nan", "run.x"),
+        ("--potential.constant=-inf", "potential.constant"),
+        ("--g.constant=1e999", "g.constant"),
+        ("--potential.harmonics=[[1,1e999,0]]", "potential.harmonics"),
+        ("--g.harmonics=[[1,0,-1e999]]", "g.harmonics"),
+        ("--run.init=point:nan", "run.init"),
+        ("--run.init=point:inf", "run.init"),
+    ])
+    def test_non_finite_values_rejected(self, override, key):
+        with pytest.raises(ConfigError, match=rf"{re.escape(key)}.*finite"):
+            parse_config("", overrides=[override])
+
     def test_bins_must_divide_n(self):
         with pytest.raises(ConfigError, match="bins"):
             parse_config("[grid]\nn = 256\n[run]\nbins = 100\n")
@@ -171,14 +189,31 @@ class TestCliCommands:
         assert meta["command"] == "eigen"
         assert meta["config"]["grid"]["n"] == 256
 
-    def test_outputs_byte_identical_across_runs(self, tmp_path):
-        cfg = write_cfg(tmp_path, MINIMAL + "\n[run]\npaths = 500\n")
+    @pytest.mark.parametrize("argv", [
+        ["eigen"],
+        ["propagate", "--run.method=mc"],
+        ["simulate", "--run.T=0.1", "--run.save_paths=1"],
+        ["entropy", "--g.use=doob"],
+        ["maximize", "--run.K=2", "--run.iters=50"],
+        ["verify"],
+    ], ids=lambda argv: argv[0])
+    def test_outputs_byte_identical_across_runs(self, tmp_path, monkeypatch,
+                                                capsys, argv):
+        command = argv[0]
+        cfg = write_cfg(tmp_path, MINIMAL.replace("n = 256", "n = 128")
+                        + "\n[run]\npaths = 300\n")
         outs = []
         for name in ("a", "b"):
-            out = tmp_path / name
-            assert main(["propagate", "--config", cfg, f"--run.out={out}",
-                         "--run.method=mc"]) == 0
-            outs.append((out / "propagate.json").read_bytes())
+            # Same relative run.out in two working directories, so meta.json
+            # and the stdout path must match too.
+            (tmp_path / name).mkdir()
+            monkeypatch.chdir(tmp_path / name)
+            assert main([*argv, "--config", cfg, "--run.out=out"]) == 0
+            last = capsys.readouterr().out.splitlines()[-1]
+            assert last.endswith(f" -> {Path('out') / command}.json")
+            files = sorted(Path("out").iterdir())
+            assert {"meta.json", f"{command}.json"} <= {f.name for f in files}
+            outs.append((last, [(f.name, f.read_bytes()) for f in files]))
         assert outs[0] == outs[1]
 
     def test_eigen_outputs_byte_identical_across_runs(self, tmp_path):
@@ -325,6 +360,10 @@ class TestCliCommands:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert f"{path}: line {line}: " in err[0]
+        # meta.json is written before the command runs, so it echoes the
+        # config of the failed run.
+        meta = json.loads((tmp_path / "out" / "meta.json").read_text())
+        assert meta["config"]["potential"]["csv"] == str(path)
 
     def test_numerical_failure_exit_code(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, MINIMAL.replace("n = 256", "n = 128"))
@@ -334,6 +373,14 @@ class TestCliCommands:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert err[0].startswith("fk-thermo: NonConvergence: ")
+
+
+class TestSerialize:
+    def test_unserializable_json_leaves_no_file(self, tmp_path):
+        path = tmp_path / "report.json"
+        with pytest.raises(ValueError, match="non-finite"):
+            write_json(path, {"v": float("nan")})
+        assert not path.exists()
 
 
 class TestVerify:

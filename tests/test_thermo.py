@@ -274,6 +274,16 @@ class TestMaximizePressure:
         values = [row[1] for row in result.trace]
         assert all(b >= a for a, b in zip(values, values[1:]))
 
+    def test_over_span_trial_steps_are_rejected(self, grid512):
+        # lr * grad spans 400 at the start; the line search must shrink it
+        # instead of letting admissible_from_values raise.
+        V = HarmonicSpec(harmonics=[(1, 1000.0, 0.0)]).sample(grid512)
+        result = maximize_pressure(V, K=8, lr=0.2, iters=500)
+        values = [row[1] for row in result.trace]
+        assert all(b >= a for a, b in zip(values, values[1:]))
+        lam = principal_eigenpair(build_generator(V)).eigenvalue
+        assert result.value <= lam + 1e-8
+
     @pytest.mark.parametrize("n", [64, 256, 4096])
     def test_variation_matches_central_differences(self, n):
         grid = make_grid(n)
