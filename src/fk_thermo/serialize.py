@@ -49,11 +49,10 @@ def write_json(path, obj) -> None:
 
 
 def write_csv(path, header: list[str], columns: list) -> None:
-    """Write columns (equal-length sequences) under a header row."""
+    """Write equal-length columns under a header row; a bad value leaves no file."""
     lengths = {len(col) for col in columns}
     if len(lengths) != 1:
         raise ValueError("all CSV columns must have the same length")
+    rows = [",".join(format_number(v) for v in row) for row in zip(*columns)]
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in zip(*columns):
-            fh.write(",".join(format_number(v) for v in row) + "\n")
+        fh.write("\n".join([",".join(header), *rows, ""]))

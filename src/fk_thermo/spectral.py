@@ -127,13 +127,14 @@ def inverse_iteration(solve: Callable[[np.ndarray], np.ndarray],
 def _top_two_eigenvalues(mat: sp.csr_array) -> np.ndarray:
     """Two largest eigenvalues, ascending, by shift-invert Lanczos.
 
-    The shift sits 1 above the Gershgorin bound, so the eigenvalues nearest
-    to it are the top two and the shifted matrix is nonsingular.  The start
-    vector is fixed because ARPACK's default one is random.
+    The shift sits max(1, 1e-12 |bound|) above the Gershgorin bound, so even
+    after rounding the eigenvalues nearest to it are the top two and the
+    shifted matrix is nonsingular.  The start vector is fixed (ARPACK's is random).
     """
     n = mat.shape[0]
     diag = mat.diagonal()
-    sigma = float(np.max(diag + abs(mat).sum(axis=1) - np.abs(diag))) + 1.0
+    bound = float(np.max(diag + abs(mat).sum(axis=1) - np.abs(diag)))
+    sigma = bound + max(1.0, 1e-12 * abs(bound))
     lu = splu((mat - sigma * sp.eye_array(n)).tocsc())
     opinv = LinearOperator((n, n), matvec=lu.solve, dtype=float)
     try:

@@ -13,18 +13,10 @@ reference drift to be differentiation-consistent with the quadrature chain
 used here (Fourier derivatives and the rectangle rule).  The second-difference
 eigenpair is not: its eigenvalue sits O(h^2) above the Fourier-consistent one,
 and that offset is exactly the defect the decomposition would inherit.  The
-reference drift is therefore taken from a companion eigensolve of the
-Fourier-discretized operator for the same potential (seeded by the main
-eigenpair), which restores the telescoping identity down to the remaining
-eigenvalue offset; the identity check scales its tolerance by that computable
-offset.
-
-The companion solve never forms a matrix.  The Fourier operator is applied
-by FFT, and each inverse-iteration system is solved by conjugate gradients
-preconditioned with the sparse LU of the shifted stencil operator.  The
-Fourier symbol -2 pi^2 m^2 lies below the stencil symbol -2 n^2 sin^2(pi m/n),
-so with the shift above the stencil's top eigenvalue both shifted systems are
-symmetric positive definite and each solve costs O(n log n).
+reference drift therefore solves the eigen-equation in log form, the Riccati
+equation g''/2 + g'^2/2 + V = lambda, with these same derivatives; its
+pressure is lambda to roundoff, and the identity check scales its tolerance
+by the computable offset between the two eigenvalues.
 """
 
 from __future__ import annotations
@@ -33,13 +25,12 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import LinearOperator, cg, splu
+from scipy.sparse.linalg import LinearOperator, gmres, splu
 
 from .grid import (GridFunction, HarmonicSpec, PeriodicGrid, _derivative_values,
                    derivative, integrate)
 from .mc import McConfig, simulate_paths
-from .spectral import (EigenSolution, NonConvergence, PositivityViolation,
-                       build_generator, inverse_iteration)
+from .spectral import EigenSolution, NonConvergence, build_generator
 
 __all__ = [
     "AdmissibleDrift",
@@ -103,6 +94,9 @@ class AdmissibleDrift:
 # Largest max g - min g for which exp(2g) is formed; beyond it e^{2 span}
 # approaches the float range.
 _MAX_SPAN = 300.0
+# Caps of the companion solve: Newton steps, and GMRES restart cycles per
+# step of _RESTART Krylov vectors (n + 1 doubles each).
+_NEWTON_STEPS, _GMRES_CYCLES, _RESTART = 20, 3, 20
 
 
 def admissible_from_values(g: GridFunction) -> AdmissibleDrift:
@@ -134,40 +128,46 @@ def admissible_from_eigen(solution: EigenSolution,
                           V: GridFunction) -> AdmissibleDrift:
     """Drift representation of the eigen-process, differentiation-consistent.
 
-    V is the potential the eigenpair was solved for.  Solves the
-    Fourier-discretized operator for that potential by inverse iteration
-    seeded at the main eigenpair and returns the drift built from the log of
-    that eigenvector.  Its pressure then reproduces the eigenvalue up to the
-    offset between the two discretizations.  Raises NonConvergence if a
-    conjugate-gradient solve stops short of its tolerance.
+    V is the potential the eigenpair was solved for.  Newton's method solves
+    R = D(Dg)/2 + (Dg)^2/2 + V - lam = 0, mean(g) = 0, from g = log F and the
+    eigenvalue, with the derivative D of admissible_from_values, so the
+    drift's pressure is lam to roundoff; R drops the Nyquist mode D(D .)
+    lacks.  Each step runs GMRES on the Jacobian D^2/2 + g' D bordered by
+    the constraint, preconditioned by the sparse LU of the bordered Doob
+    transform diag(1/F) (A - lam I) diag(F) of the stencil A.  Raises
+    NonConvergence if max|R| > max(1e-9, 6 eps n^2) max(1, |lam|) once it
+    fails to halve.
     """
-    grid = V.grid
+    grid, F, lam = V.grid, solution.eigenfunction.values, solution.eigenvalue
     n = grid.n
-    shift = solution.eigenvalue + 1e-8 * max(1.0, abs(solution.eigenvalue))
-
-    def shifted_fourier(x: np.ndarray) -> np.ndarray:
-        second = derivative(GridFunction(grid, x), 2).values
-        return (shift - V.values) * x - 0.5 * second
-
-    system = LinearOperator((n, n), matvec=shifted_fourier, dtype=float)
-    lu = splu((shift * sp.eye_array(n) - build_generator(V).matrix).tocsc())
-    preconditioner = LinearOperator((n, n), matvec=lu.solve, dtype=float)
-
-    def solve(b: np.ndarray) -> np.ndarray:
-        x, info = cg(system, b, rtol=1e-14, M=preconditioner)
-        if info != 0:
-            raise NonConvergence(
-                f"companion conjugate gradients stopped with info={info}"
-            )
-        return x
-
-    u = inverse_iteration(solve, solution.eigenfunction.values)
-    if np.any(u <= 0):
-        raise PositivityViolation(
-            "companion eigenvector is not positive at every node"
-        )
-    u = u / np.sqrt(grid.h * np.sum(u**2))
-    return admissible_from_values(GridFunction(grid, np.log(u)))
+    doob = (sp.diags_array(1.0 / F) @ (build_generator(V).matrix
+            - lam * sp.eye_array(n)) @ sp.diags_array(F))
+    lu = splu(sp.bmat([[doob, -np.ones((n, 1))],
+                       [np.full((1, n), grid.h), None]], format="csc"))
+    # The bordered Jacobian at the current iterate, whose drift the loop sets.
+    system = LinearOperator((n + 1, n + 1), lambda z: np.append(
+        0.5 * _derivative_values(z[:n], 2) - z[n]
+        + drift * _derivative_values(z[:n], 1), grid.h * z[:n].sum()), dtype=float)
+    inverse = LinearOperator((n + 1, n + 1), lu.solve, dtype=float)
+    g = np.log(F)
+    g, best = g - g.mean(), (np.inf, None, lam)
+    for _ in range(_NEWTON_STEPS):
+        drift = _derivative_values(g, 1)
+        r = 0.5 * (_derivative_values(drift, 1) + drift * drift) + V.values - lam
+        r = np.fft.irfft(np.fft.rfft(r)[: n // 2], n)  # the Nyquist bin dropped
+        size = float(np.max(np.abs(r)))
+        halved = size < 0.5 * best[0]
+        best = min(best, (size, g, lam), key=lambda b: b[0])
+        if not halved:
+            break
+        step, _ = gmres(system, np.append(-r, 0.0), rtol=1e-6, M=inverse,
+                        restart=_RESTART, maxiter=_GMRES_CYCLES)
+        g, lam = g + step[:n], lam + step[n]
+    size, g, lam = best
+    bound = max(1e-9, 6.0 * np.finfo(float).eps * n**2) * max(1.0, abs(lam))
+    if not size <= bound:
+        raise NonConvergence(f"companion residual {size:.3e} exceeds {bound:.3e}")
+    return admissible_from_values(GridFunction(grid, g))
 
 
 def carre_du_champ(f: GridFunction, g: GridFunction) -> GridFunction:

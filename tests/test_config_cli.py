@@ -8,7 +8,7 @@ import pytest
 from fk_thermo import __version__
 from fk_thermo.cli import main, run_verify
 from fk_thermo.config import ConfigError, parse_config
-from fk_thermo.serialize import write_json
+from fk_thermo.serialize import write_csv, write_json
 
 MINIMAL = """
 [grid]
@@ -380,6 +380,12 @@ class TestSerialize:
         path = tmp_path / "report.json"
         with pytest.raises(ValueError, match="non-finite"):
             write_json(path, {"v": float("nan")})
+        assert not path.exists()
+
+    def test_unserializable_csv_leaves_no_file(self, tmp_path):
+        path = tmp_path / "table.csv"
+        with pytest.raises(ValueError, match="non-finite"):
+            write_csv(path, ["x", "v"], [[0.0, 0.5], [1.0, float("nan")]])
         assert not path.exists()
 
 

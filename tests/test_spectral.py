@@ -162,6 +162,14 @@ class TestPrincipalEigenpair:
         with pytest.raises(NonConvergence, match="residual"):
             principal_eigenpair(build_generator(vcos512))
 
+    @pytest.mark.parametrize("c", [1e20, -1e20, 1e200, 1e300])
+    def test_huge_constant_potential_names_its_error(self, c):
+        # A shift of bound + 1 rounds to the bound itself at these sizes,
+        # and the LU of the shifted matrix would be exactly singular.
+        op = build_generator(constant_potential(make_grid(64), c))
+        with pytest.raises(DegenerateGap):
+            principal_eigenpair(op)
+
     def test_positivity_guard_raises(self, grid512):
         # Negated Laplacian: the top eigenvector is the most oscillatory mode.
         op = OperatorMatrix(grid512, -laplacian_half(grid512))

@@ -1,7 +1,9 @@
+import hypothesis
+import hypothesis.strategies as st
 import numpy as np
 import pytest
 
-from fk_thermo import (AdmissibleDrift, DecompositionMismatch,
+from fk_thermo import (AdmissibleDrift, DecompositionMismatch, DegenerateGap,
                        EntropyMismatch, GridFunction, HarmonicSpec, McConfig,
                        NonConvergence,
                        PositivityViolation, admissible_from_eigen,
@@ -410,7 +412,8 @@ class TestEigenConsistentDrift:
 
     @pytest.mark.parametrize("n", [4, 256, 4096])
     def test_fourier_symbol_below_stencil_symbol(self, n):
-        # The CG preconditioner relies on sigma - A_F >= sigma - A_FD.
+        # The Fourier second derivative never exceeds the stencil's, mode by
+        # mode, so the Fourier eigenvalue sits below the stencil one.
         grid = make_grid(n)
         unit = np.zeros(n)
         unit[0] = 1.0
@@ -427,16 +430,55 @@ class TestEigenConsistentDrift:
         ad = admissible_from_eigen(sol, V)
         assert abs(pressure_value(ad, V) - sol.eigenvalue) <= 1e-7
 
-    def test_cg_nonconvergence_raises(self, vcos512, eig_cos512, monkeypatch):
-        monkeypatch.setattr(thermo, "cg", lambda A, b, **kw: (b, 1))
-        with pytest.raises(NonConvergence):
+    def test_stalled_newton_raises(self, vcos512, eig_cos512, monkeypatch):
+        # A linear solve that returns its right-hand side never halves the
+        # Riccati residual, so Newton stops at the seed, above the bound.
+        monkeypatch.setattr(thermo, "gmres", lambda A, b, **kw: (b, 1))
+        with pytest.raises(NonConvergence, match="companion residual"):
             admissible_from_eigen(eig_cos512, vcos512)
 
-    def test_strong_potential_companion_not_positive(self, grid512):
-        V = GridFunction(grid512, 5000.0 * np.cos(2 * np.pi * grid512.nodes))
+    @pytest.mark.parametrize("n", [512, 2048])
+    def test_strong_potential_companion(self, n):
+        # min F is about 3e-19 at n=512, below any relative tolerance on an
+        # eigenvector; the log-domain solve never forms one.
+        grid = make_grid(n)
+        V = GridFunction(grid, 5000.0 * np.cos(2 * np.pi * grid.nodes))
         sol = principal_eigenpair(build_generator(V))
-        with pytest.raises(PositivityViolation):
-            admissible_from_eigen(sol, V)
+        ad = admissible_from_eigen(sol, V)
+        assert abs(pressure_value(ad, V) - 4779.096522) <= 1e-6
+
+
+class TestCompanionProperty:
+    """admissible_from_eigen over one harmonic, k <= 4, amplitude 1e-2..5000:
+    a finite drift solving the Riccati equation, or a named error."""
+
+    @hypothesis.settings(max_examples=100, deadline=None, derandomize=True)
+    @hypothesis.given(n=st.sampled_from([16, 64, 256, 1024]),
+                      k=st.integers(1, 4),
+                      log_amp=st.floats(-2.0, np.log10(5000.0)),
+                      phase=st.floats(0.0, 2 * np.pi))
+    def test_solves_riccati_or_raises_named(self, n, k, log_amp, phase):
+        amp = 10.0**log_amp
+        grid = make_grid(n)
+        V = HarmonicSpec(harmonics=[(k, amp * np.cos(phase),
+                                     amp * np.sin(phase))]).sample(grid)
+        try:
+            sol = principal_eigenpair(build_generator(V))
+            ad = admissible_from_eigen(sol, V)
+            pressure = pressure_value(ad, V)
+        except (NonConvergence, DegenerateGap, PositivityViolation,
+                EntropyMismatch, ValueError):
+            return
+        assert np.isfinite(ad.drift.values).all()
+        assert np.isfinite(ad.curvature.values).all() and np.isfinite(pressure)
+        # R + lam = D(Dg)/2 + (Dg)^2/2 + V without its Nyquist mode; the
+        # constant that fits it best in max norm stands in for lam.
+        drift = derivative(ad.potential, 1)
+        rest = (derivative(drift, 1) + drift * drift) * 0.5 + V
+        rest = np.fft.irfft(np.fft.rfft(rest.values)[: n // 2], n)
+        lam = 0.5 * (rest.max() + rest.min())
+        bound = max(1e-9, 6 * np.finfo(float).eps * n**2) * max(1.0, abs(lam))
+        assert 0.5 * (rest.max() - rest.min()) <= bound
 
 
 class TestRawArrayFormsAreBitwise:
