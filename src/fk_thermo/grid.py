@@ -286,8 +286,8 @@ def function_from_csv(path, grid: PeriodicGrid) -> GridFunction:
     """Load samples from a CSV with exactly two columns x,value at the grid nodes.
 
     The x column must reproduce the nodes i/n (up to 1e-12 print roundoff);
-    values are used verbatim, no resampling or smoothing.  A header or row
-    with any other number of columns raises ValueError naming its line.
+    values are used verbatim.  A header or row with another column count, or
+    a non-finite entry, raises ValueError naming its line.
     """
     xs, vals = [], []
     with open(path, newline="") as fh:
@@ -312,6 +312,8 @@ def function_from_csv(path, grid: PeriodicGrid) -> GridFunction:
                 vals.append(float(row[1]))
             except ValueError as exc:
                 raise ValueError(f"{where}: {exc}") from None
+            if not np.isfinite([xs[-1], vals[-1]]).all():
+                raise ValueError(f"{where}: x and value must be finite")
     if len(xs) != grid.n:
         raise ValueError(f"{path}: expected {grid.n} rows, found {len(xs)}")
     xs = np.asarray(xs)

@@ -13,6 +13,7 @@ O(n) time and memory.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -84,6 +85,29 @@ def laplacian_half(grid: PeriodicGrid) -> sp.csr_array:
     cols = np.concatenate([idx, (idx + 1) % n, (idx - 1) % n])
     vals = np.concatenate([np.full(n, -2.0 * scale), np.full(2 * n, scale)])
     return sp.csr_array((vals, (rows, cols)), shape=(n, n))
+
+
+@lru_cache(maxsize=None)
+def _excess_symbol(n: int) -> np.ndarray:
+    pik = np.pi * np.arange(n // 2 + 1)
+    return 2.0 * pik**2 - 2.0 * (n * np.sin(pik / n)) ** 2
+
+
+def stencil_excess(grid: PeriodicGrid, v: np.ndarray) -> float:
+    """<v, E v> / <v, v> for E = laplacian_half minus the Fourier half-Laplacian.
+
+    E is circulant with symbol (2 pi k)^2/2 - n^2 (1 - cos 2 pi k/n) >= 0,
+    cached per n as 2 (pi k)^2 - 2 (n sin(pi k/n))^2, which keeps its small
+    values exact.
+    """
+    power = np.abs(np.fft.rfft(v)) ** 2
+    power[1:grid.n // 2] *= 2.0  # the modes -k, which rfft leaves out
+    return float(_excess_symbol(grid.n) @ power / power.sum())
+
+
+def roundoff_bound(n: int) -> float:
+    """Residual floor on n nodes: 1e-9 to n ~ 1500, then eps |A| ~ 2 eps n^2."""
+    return max(1e-9, 6.0 * np.finfo(float).eps * n**2)
 
 
 def build_generator(V: GridFunction) -> OperatorMatrix:
@@ -166,9 +190,7 @@ def principal_eigenpair(op: OperatorMatrix) -> EigenSolution:
     lam = float(vec @ (mat @ vec) / (vec @ vec))
     vec = vec / np.sqrt(grid.h * np.sum(vec**2))
     residual = np.max(np.abs(mat @ vec - lam * vec)) / np.max(np.abs(vec))
-    # 1e-9 is attainable up to n ~ 1500; past that the roundoff floor
-    # eps * |A| ~ 2 eps n^2 governs and the guard scales with it.
-    bound = max(1e-9, 6.0 * np.finfo(float).eps * grid.n**2)
+    bound = roundoff_bound(grid.n)
     if residual > bound:
         raise NonConvergence(
             f"eigenpair residual {residual:.3e} exceeds {bound:.3e}"

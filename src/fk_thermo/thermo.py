@@ -15,8 +15,8 @@ eigenpair is not: its eigenvalue sits O(h^2) above the Fourier-consistent one,
 and that offset is exactly the defect the decomposition would inherit.  The
 reference drift therefore solves the eigen-equation in log form, the Riccati
 equation g''/2 + g'^2/2 + V = lambda, with these same derivatives; its
-pressure is lambda to roundoff, and the identity check scales its tolerance
-by the computable offset between the two eigenvalues.
+pressure is lambda to roundoff.  The identity check brackets the offset
+between the two eigenvalues by the min-max theorem, at a roundoff tolerance.
 """
 
 from __future__ import annotations
@@ -30,7 +30,8 @@ from scipy.sparse.linalg import LinearOperator, gmres, splu
 from .grid import (GridFunction, HarmonicSpec, PeriodicGrid, _derivative_values,
                    derivative, integrate)
 from .mc import McConfig, simulate_paths
-from .spectral import EigenSolution, NonConvergence, build_generator
+from .spectral import (EigenSolution, NonConvergence, build_generator,
+                       roundoff_bound, stencil_excess)
 
 __all__ = [
     "AdmissibleDrift",
@@ -58,7 +59,7 @@ class EntropyMismatch(RuntimeError):
 
 
 class DecompositionMismatch(RuntimeError):
-    """eigenvalue - pressure differs from the quadratic gap beyond the offset.
+    """eigenvalue - pressure - quadratic gap leaves the bracket of the offset.
 
     The potential passed does not belong to the eigenpair, or differentiation
     or quadrature broke.
@@ -135,8 +136,8 @@ def admissible_from_eigen(solution: EigenSolution,
     lacks.  Each step runs GMRES on the Jacobian D^2/2 + g' D bordered by
     the constraint, preconditioned by the sparse LU of the bordered Doob
     transform diag(1/F) (A - lam I) diag(F) of the stencil A.  Raises
-    NonConvergence if max|R| > max(1e-9, 6 eps n^2) max(1, |lam|) once it
-    fails to halve.
+    NonConvergence if max|R| > roundoff_bound(n) max(1, |lam|) once it fails
+    to halve.
     """
     grid, F, lam = V.grid, solution.eigenfunction.values, solution.eigenvalue
     n = grid.n
@@ -164,7 +165,7 @@ def admissible_from_eigen(solution: EigenSolution,
                         restart=_RESTART, maxiter=_GMRES_CYCLES)
         g, lam = g + step[:n], lam + step[n]
     size, g, lam = best
-    bound = max(1e-9, 6.0 * np.finfo(float).eps * n**2) * max(1.0, abs(lam))
+    bound = roundoff_bound(n) * max(1.0, abs(lam))
     if not size <= bound:
         raise NonConvergence(f"companion residual {size:.3e} exceeds {bound:.3e}")
     return admissible_from_values(GridFunction(grid, g))
@@ -228,28 +229,28 @@ def pressure_decomposition(
     ads: list[AdmissibleDrift],
     reference: AdmissibleDrift,
     V: GridFunction,
-    eigenvalue: float,
-    residual_eigenvalue: float | None = None,
+    solution: EigenSolution,
 ) -> tuple[list[float], list[float], float]:
-    """Check lambda - P(g) = 1/2 int (g*' - g')^2 mu_g for each drift in ads.
+    """Check lambda - P(g) = 1/2 int (g*' - g')^2 mu_g + offset for each drift in ads.
 
-    Returns (gaps, residuals, tolerance): the quadratic gap of each drift
-    against the reference drift g*, the residual |lambda - P(g) - gap| of
-    each, and the tolerance max(1e-8, 4 offset + 1e-9), where the offset
-    |lambda - P(reference)| is the documented discretization defect.
-    residual_eigenvalue, when given, replaces lambda in the residuals only,
-    so a fault injected there cannot widen the tolerance.
+    By min-max, the offset lambda - P(g*) between the stencil and Fourier
+    eigenvalues lies in [stencil_excess(e^{g*}), stencil_excess(F)], with
+    e^{g*} proportional to sqrt(reference.density).  Returns (gaps,
+    residuals, tolerance): the quadratic gap of each drift, how far
+    lambda - P(g) - gap falls outside that interval (0 inside), and
+    roundoff_bound(n) max(1, |P(g*)|), which does not depend on lambda.
     """
-    offset = abs(eigenvalue - pressure_value(reference, V))
-    tolerance = max(1e-8, 4.0 * offset + 1e-9)
-    if residual_eigenvalue is None:
-        residual_eigenvalue = eigenvalue
+    grid = V.grid
+    low = stencil_excess(grid, np.sqrt(reference.density.values))
+    high = stencil_excess(grid, solution.eigenfunction.values)
+    tolerance = roundoff_bound(grid.n) * max(1.0, abs(pressure_value(reference, V)))
     gaps, residuals = [], []
     for ad in ads:
         diff = reference.drift.values - ad.drift.values
-        gap = 0.5 * float(V.grid.h * (diff * diff * ad.density.values).sum())
+        gap = 0.5 * float(grid.h * (diff * diff * ad.density.values).sum())
+        offset = solution.eigenvalue - pressure_value(ad, V) - gap
         gaps.append(gap)
-        residuals.append(abs(residual_eigenvalue - pressure_value(ad, V) - gap))
+        residuals.append(max(0.0, low - offset, offset - high))
     return gaps, residuals, tolerance
 
 
@@ -258,13 +259,13 @@ def pressure_gap(ad: AdmissibleDrift, solution: EigenSolution,
     """Quadratic deficit between the eigenvalue and the pressure at ad.
 
     Computes the invariant average of (reference drift - drift)^2 / 2 and
-    verifies that it reproduces eigenvalue - pressure up to the documented
-    discretization offset, raising DecompositionMismatch otherwise.  V is
-    the potential the eigenpair was solved for and reference is
+    verifies that it reproduces eigenvalue - pressure up to the offset that
+    pressure_decomposition brackets, raising DecompositionMismatch otherwise.
+    V is the potential the eigenpair was solved for and reference is
     admissible_from_eigen(solution, V), built once and shared across calls.
     """
     (gap,), (mismatch,), tolerance = pressure_decomposition(
-        [ad], reference, V, solution.eigenvalue)
+        [ad], reference, V, solution)
     if mismatch > tolerance:
         raise DecompositionMismatch(
             f"pressure decomposition off by {mismatch:.3e} "

@@ -350,7 +350,8 @@ class TestCliCommands:
         ("0.0\n", 2),
         ("0.0,1.0\n0.015625,abc\n", 3),
         ("0.0,1.0,7\n", 2),
-    ], ids=["short_row", "non_numeric", "three_columns"])
+        ("0.0,1.0\n0.015625,1.0\nnan,1.0\n", 4),
+    ], ids=["short_row", "non_numeric", "three_columns", "nan_x"])
     def test_malformed_csv_row_cites_path_and_line(self, tmp_path, capsys,
                                                    body, line):
         path = tmp_path / "short.csv"
@@ -407,6 +408,28 @@ class TestVerify:
         assert code == 1
         by_name = {c["name"]: c for c in checks}
         assert not by_name["pressure_decomposition"]["pass"]
+
+    def test_coarse_grid_battery_passes(self):
+        # At 64 nodes verify's drifts shrink, so e^{2g} stays resolved and
+        # the entropy cross-check keeps its 1e-9.
+        cfg = parse_config(MINIMAL + "\n[run]\npaths = 2000\n",
+                           overrides=["--grid.n=64"])
+        assert cfg.build_grid().n == 64
+        code, checks = run_verify(cfg)
+        assert code == 0
+
+    @pytest.mark.parametrize("fault", ["1e-6", "=-1e-6"])
+    def test_small_eigenvalue_faults_exit_1(self, tmp_path, fault):
+        cfg = write_cfg(tmp_path, MINIMAL + "\n[run]\npaths = 2000\n")
+        out = tmp_path / "out"
+        flag = (["--perturb-eigenvalue" + fault] if fault.startswith("=")
+                else ["--perturb-eigenvalue", fault])
+        assert main(["verify", "--config", cfg, f"--run.out={out}", *flag]) == 1
+        by_name = {c["name"]: c for c in
+                   json.loads((out / "verify.json").read_text())["checks"]}
+        assert not by_name["pressure_decomposition"]["pass"]
+        assert [c["name"] for c in by_name.values() if not c["pass"]] == [
+            "pressure_decomposition"]
 
     def test_cli_exit_codes(self, tmp_path):
         cfg = write_cfg(tmp_path, MINIMAL + "\n[run]\npaths = 1000\n")

@@ -1,3 +1,5 @@
+import re
+
 import hypothesis
 import hypothesis.strategies as st
 import numpy as np
@@ -9,6 +11,13 @@ from fk_thermo import (GridFunction, HarmonicSpec, derivative,
 from fk_thermo.grid import periodic_reader, wrap
 
 from conftest import random_harmonic
+
+# CSV cells that float() may or may not read, none holding a comma or quote.
+_CELLS = st.one_of(
+    st.sampled_from(["", " ", "nan", "NaN", "inf", "-inf", "1e400", "abc",
+                     "0x1", "1_0", "-0", "0.25 "]),
+    st.floats().map(repr),
+    st.text(alphabet="0123456789.eE+-naif_ ", max_size=8))
 
 
 class TestMakeGrid:
@@ -333,6 +342,48 @@ class TestCsv:
         with pytest.raises(ValueError, match=f"line {line}: expected 2 columns "
                                              "x,value, found 3"):
             function_from_csv(path, make_grid(8))
+
+    @pytest.mark.parametrize("x, value", [("nan", "1.0"), ("0.25", "-inf"),
+                                          ("0.25", "1e400")])
+    def test_non_finite_entry_rejected(self, tmp_path, x, value):
+        # NaN compares false against the node tolerance, so it needs its own check
+        rows = [f"{i / 8!r},1.0" for i in range(8)]
+        rows[2] = f"{x},{value}"
+        path = tmp_path / "f.csv"
+        path.write_text("x,value\n" + "\n".join(rows) + "\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line 4: "
+                                             "x and value must be finite$"):
+            function_from_csv(path, make_grid(8))
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True)
+    @hypothesis.given(
+        header=st.sampled_from(["x,value", " X , Value", "x", "x,value,w",
+                                "value,x"]),
+        values=st.lists(st.floats(-1e300, 1e300), min_size=4, max_size=4),
+        edits=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 2), _CELLS),
+                       max_size=3))
+    def test_loader_returns_values_or_names_the_file(self, tmp_path_factory,
+                                                     header, values, edits):
+        # Each edit overwrites x (0) or value (1) of a row, appends a third
+        # column (2), or with row 4 appends a one-cell row.
+        rows = [[repr(i / 4), repr(v)] for i, v in enumerate(values)]
+        for row, col, cell in edits:
+            if row == 4:
+                rows.append([cell])
+            elif col == 2:
+                rows[row].append(cell)
+            else:
+                rows[row][col] = cell
+        path = tmp_path_factory.mktemp("csv") / "f.csv"
+        path.write_text("\n".join([header] + [",".join(r) for r in rows]) + "\n")
+        try:
+            loaded = function_from_csv(path, make_grid(4))
+        except ValueError as exc:
+            assert str(exc).startswith(f"{path}: ")
+            return
+        # blank lines (a one-cell row holding "") are skipped
+        expected = [float(r[1]) for r in rows if r != [""]]
+        assert np.array_equal(loaded.values, expected)
 
     def test_wrong_length_rejected(self, tmp_path):
         grid = make_grid(8)

@@ -53,6 +53,22 @@ class TestBuildGenerator:
         assert m.nnz == 3 * 512
         assert m.data.nbytes + m.indices.nbytes + m.indptr.nbytes <= 64 * 512
 
+    @pytest.mark.parametrize("n", [8, 64])
+    def test_stencil_excess_matches_dense_difference(self, n):
+        # E = stencil minus the Fourier half-Laplacian, built densely from
+        # the DFT matrix: positive semidefinite, with the same quotient.
+        grid = make_grid(n)
+        k = np.fft.fftfreq(n, d=1.0 / n)
+        dft = np.exp(-2j * np.pi * np.outer(k, np.arange(n)) / n)
+        fourier = (dft.conj().T @ np.diag(-0.5 * (2 * np.pi * k) ** 2)
+                   @ dft).real / n
+        excess = laplacian_half(grid).toarray() - fourier
+        assert np.linalg.eigvalsh(excess).min() >= -1e-12 * n**2
+        rng = np.random.default_rng(n)
+        for v in (rng.standard_normal(n), np.exp(np.cos(2 * np.pi * grid.nodes))):
+            assert spectral.stencil_excess(grid, v) == pytest.approx(
+                v @ excess @ v / (v @ v), rel=1e-9, abs=1e-12 * n**2)
+
     def test_asymmetric_matrix_rejected(self, grid512):
         mat = laplacian_half(grid512).toarray()
         mat[0, 5] = 1.0

@@ -1,3 +1,5 @@
+import dataclasses
+
 import hypothesis
 import hypothesis.strategies as st
 import numpy as np
@@ -14,6 +16,7 @@ from fk_thermo import (AdmissibleDrift, DecompositionMismatch, DegenerateGap,
                        pressure_decomposition, pressure_gap,
                        pressure_value, principal_eigenpair, relative_entropy,
                        thermo)
+from fk_thermo.spectral import roundoff_bound, stencil_excess
 
 from conftest import random_harmonic
 from oracles import fourier_companion_drift
@@ -212,36 +215,58 @@ class TestPressure:
         assert abs(gap - (sol.eigenvalue - integrate(V))) < 2e-7
 
     def test_decomposition_for_random_drifts(self, eig_cos1024):
+        # lambda - P(g) - gap is the stencil-Fourier offset, which min-max
+        # brackets between the excess Rayleigh quotients of e^{g*} and F.
         V, sol = eig_cos1024
         reference = admissible_from_eigen(sol, V)
-        offset = abs(sol.eigenvalue - pressure_value(reference, V))
+        low = stencil_excess(V.grid, np.exp(reference.potential.values))
+        high = stencil_excess(V.grid, sol.eigenfunction.values)
+        tolerance = roundoff_bound(V.grid.n) * max(
+            1.0, abs(pressure_value(reference, V)))
+        assert tolerance < 2e-9
         rng = np.random.default_rng(99)
         for _ in range(10):
             ad = admissible_from_values(random_harmonic(V.grid, rng))
             gap = pressure_gap(ad, sol, reference=reference, V=V)
             assert gap >= 0
-            residual = abs(sol.eigenvalue - pressure_value(ad, V) - gap)
-            assert residual <= max(1e-8, 4 * offset + 1e-9)
+            offset = sol.eigenvalue - pressure_value(ad, V) - gap
+            assert low - tolerance <= offset <= high + tolerance
 
-    def test_residual_eigenvalue_moves_residuals_not_tolerance(self, eig_cos1024):
+    def test_faulty_eigenvalue_moves_residuals_not_tolerance(self, eig_cos1024):
         V, sol = eig_cos1024
         reference = admissible_from_eigen(sol, V)
         rng = np.random.default_rng(99)
         ads = [admissible_from_values(random_harmonic(V.grid, rng))
                for _ in range(3)]
         gaps, residuals, tolerance = pressure_decomposition(
-            ads, reference, V, sol.eigenvalue)
-        _, faulty, faulty_tolerance = pressure_decomposition(
-            ads, reference, V, sol.eigenvalue, sol.eigenvalue + 1e-3)
-        assert faulty_tolerance == tolerance
-        assert max(residuals) <= tolerance < min(faulty)
+            ads, reference, V, sol)
+        for fault in (1e-3, 1e-6, -1e-6):
+            faulty_sol = dataclasses.replace(sol, eigenvalue=sol.eigenvalue + fault)
+            _, faulty, faulty_tolerance = pressure_decomposition(
+                ads, reference, V, faulty_sol)
+            assert faulty_tolerance == tolerance
+            assert max(residuals) <= tolerance < min(faulty)
         assert gaps == [pressure_gap(ad, sol, reference=reference, V=V)
                         for ad in ads]
+
+    def test_wrong_eigenvalue_raises_decomposition_mismatch(self, vcos256,
+                                                            eig_cos256):
+        # An eigenvalue 1e-3 too high used to pass: the old tolerance grew
+        # 4x as fast as the residual.
+        reference = admissible_from_eigen(eig_cos256, vcos256)
+        x = vcos256.grid.nodes
+        ad = admissible_from_values(GridFunction(vcos256.grid,
+                                                 0.5 * np.sin(2 * np.pi * x)))
+        wrong = dataclasses.replace(eig_cos256,
+                                    eigenvalue=eig_cos256.eigenvalue + 1e-3)
+        assert pressure_gap(ad, eig_cos256, reference=reference, V=vcos256) > 0
+        with pytest.raises(DecompositionMismatch, match="off by 1.000e-03"):
+            pressure_gap(ad, wrong, reference=reference, V=vcos256)
 
     def test_foreign_potential_raises_decomposition_mismatch(self, vcos256,
                                                              eig_cos256):
         # The eigenpair belongs to cos 2 pi x; a bump added to the potential
-        # breaks the decomposition by 1.195 against an allowed 0.908.
+        # breaks the decomposition by 1.195 against an allowed 1e-9.
         x = vcos256.grid.nodes
         bumped = vcos256 + GridFunction(vcos256.grid,
                                         2.0 * np.exp(-(x - 0.5) ** 2 / 0.005))
@@ -526,8 +551,49 @@ class TestRawArrayFormsAreBitwise:
 
     def test_decomposition_gap(self, case):
         V, drifts = case
+        sol = principal_eigenpair(build_generator(V))
         reference, *others = [admissible_from_values(g) for g in drifts]
-        gaps, _, _ = pressure_decomposition(others, reference, V, 0.0)
+        gaps, _, _ = pressure_decomposition(others, reference, V, sol)
         for ad, gap in zip(others, gaps):
             diff = reference.drift - ad.drift
             assert gap == 0.5 * integrate(diff * diff * ad.density)
+
+
+class TestDecompositionProperty:
+    """pressure_decomposition over one harmonic V, k <= 4, amplitude
+    1e-2..100: within tolerance at the true eigenvalue and failing once the
+    eigenvalue moves by the bracket width plus twice the tolerance, or a
+    named error before the check."""
+
+    @hypothesis.settings(max_examples=40, deadline=None, derandomize=True)
+    @hypothesis.given(n=st.sampled_from([128, 256, 512, 1024]),
+                      k=st.integers(1, 4),
+                      log_amp=st.floats(-2.0, 2.0),
+                      phase=st.floats(0.0, 2 * np.pi),
+                      seed=st.integers(0, 2**16))
+    def test_true_eigenvalue_passes_and_faults_fail(self, n, k, log_amp, phase,
+                                                    seed):
+        amp = 10.0**log_amp
+        grid = make_grid(n)
+        V = HarmonicSpec(harmonics=[(k, amp * np.cos(phase),
+                                     amp * np.sin(phase))]).sample(grid)
+        rng = np.random.default_rng(seed)
+        try:
+            sol = principal_eigenpair(build_generator(V))
+            reference = admissible_from_eigen(sol, V)
+            ads = [admissible_from_values(random_harmonic(grid, rng))
+                   for _ in range(3)]
+            _, residuals, tolerance = pressure_decomposition(ads, reference,
+                                                             V, sol)
+        except (NonConvergence, DegenerateGap, PositivityViolation,
+                EntropyMismatch):
+            return
+        assert max(residuals) <= tolerance
+        width = (stencil_excess(grid, sol.eigenfunction.values)
+                 - stencil_excess(grid, np.exp(reference.potential.values)))
+        for sign in (1.0, -1.0):
+            faulty = dataclasses.replace(
+                sol, eigenvalue=sol.eigenvalue + sign * (width + 2 * tolerance))
+            _, moved, same = pressure_decomposition(ads, reference, V, faulty)
+            assert same == tolerance
+            assert max(moved) > tolerance
