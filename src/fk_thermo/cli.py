@@ -205,11 +205,12 @@ def run_verify(cfg: RunConfig, perturb_eigenvalue: float = 0.0):
 
     rng = np.random.default_rng(cfg.seed)
     scale = min(1.0, (grid.n / 128) ** 2)  # keeps e^{2g} resolved below n=128
+    kmax = min(4, grid.n // 8)  # k >= n/8 is too coarsely sampled below n=32
 
     def random_harmonic() -> GridFunction:
-        # wavenumbers 1-4, each (a, b) drawn uniform on [-1, 1] in turn, scaled
+        # wavenumbers 1-kmax, each (a, b) drawn uniform on [-1, 1] in turn, scaled
         return HarmonicSpec(harmonics=[(k, *scale * rng.uniform(-1.0, 1.0, 2))
-                                       for k in range(1, 5)]).sample(grid)
+                                       for k in range(1, kmax + 1)]).sample(grid)
 
     # Self-adjointness of the propagator in the flat inner product.
     worst = 0.0

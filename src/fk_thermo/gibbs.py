@@ -95,8 +95,7 @@ def rn_weights(ens: PathEnsemble, solution: EigenSolution) -> np.ndarray:
     vint = _require_v_integrals(ens)
     log_f = GridFunction(solution.eigenfunction.grid,
                          np.log(solution.eigenfunction.values))
-    start = log_f.interp(ens.positions[:, 0])
-    end = log_f.interp(ens.positions[:, -1])
+    start, end = log_f.interp(ens.positions[:, [0, -1]]).T
     return np.exp(end - start - (solution.eigenvalue * ens.horizon - vint))
 
 
@@ -111,8 +110,7 @@ def rn_weights_admissible(ens: PathEnsemble, g: GridFunction) -> np.ndarray:
         raise ValueError("admissible weights need record_stride=1 ensembles")
     rate = drift_weight_integrand(g)
     integral = rate.interp(ens.positions[:, :-1]).sum(axis=1) * ens.dt
-    start = g.interp(ens.positions[:, 0])
-    end = g.interp(ens.positions[:, -1])
+    start, end = g.interp(ens.positions[:, [0, -1]]).T
     return np.exp(end - start - integral)
 
 

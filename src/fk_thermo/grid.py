@@ -51,12 +51,6 @@ class PeriodicGrid:
     def nodes(self) -> np.ndarray:
         return self._nodes  # type: ignore[attr-defined]
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PeriodicGrid) and other.n == self.n
-
-    def __hash__(self) -> int:
-        return hash(("PeriodicGrid", self.n))
-
 
 def make_grid(n: int) -> PeriodicGrid:
     """Build a uniform periodic grid with n nodes (n even, n >= 4)."""
@@ -123,11 +117,6 @@ class GridFunction:
         return float(out) if np.isscalar(x) else out
 
 
-# Fewest points read by the cell lookup.  The lookup costs a fixed 10-20 us
-# per call plus a few ns per point; np.interp searches every point (30-100 ns
-# each, more on finer grids), so it wins on few points.  The measured
-# crossover sits at 400-800 points for grids of 64 to 4096 nodes.
-_LOOKUP_MIN_POINTS = 512
 # Points per lookup pass: larger inputs are read block by block, so each of
 # the lookup's temporaries (cells, offsets, gathered slopes and values) stays
 # at 512 KiB whatever the input size.
@@ -164,14 +153,14 @@ def _interp_tables(grid: PeriodicGrid, *functions: GridFunction):
 def periodic_reader(grid: PeriodicGrid, *functions: GridFunction):
     """Reader of grid functions at points of [0, 1], one array per function.
 
-    Below _LOOKUP_MIN_POINTS points each function goes through np.interp on
-    the n nodes followed by 1.0, with the first value repeated there.
-    Otherwise the cells are found once for all functions: floor(x n) can
-    miss the cell by one where x n rounds across an integer, or where the
-    node i/n itself rounds, so one comparison on each side settles it.  Each
-    function then takes np.interp's own formula, slope[i] (x - xp[i]) +
-    table[i], with its slopes computed once here; the bits are np.interp's.
-    Inputs above _BLOCK_POINTS points are read block by block.
+    The cells are found once for all functions: floor(x n) can miss the
+    cell by one where x n rounds across an integer, or where the node i/n
+    itself rounds, so one comparison on each side settles it.  Each function
+    then takes np.interp's own formula, slope[i] (x - xp[i]) + table[i], with
+    its slopes computed once here; the bits are np.interp's on the n nodes
+    followed by 1.0, with the first value repeated there, for any number of
+    points.  Points of any shape are read, a 0-d array as a numpy float;
+    inputs above _BLOCK_POINTS points are read block by block.
     """
     n = grid.n
     xp, tables, slopes = _interp_tables(grid, *functions)
@@ -185,8 +174,10 @@ def periodic_reader(grid: PeriodicGrid, *functions: GridFunction):
         return [slope[i] * offset + table[i] for table, slope in zip(tables, slopes)]
 
     def read(x: np.ndarray) -> list:
-        if x.size < _LOOKUP_MIN_POINTS or not tables:
-            return [np.interp(x, xp, table) for table in tables]
+        if not tables:
+            return []
+        if x.ndim == 0:  # the lookup's in-place corrections need an array
+            return [out[0] for out in read(x.reshape(1))]
         if x.size <= _BLOCK_POINTS:
             return lookup(x)
         flat = x.reshape(-1)

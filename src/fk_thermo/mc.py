@@ -10,14 +10,14 @@ then its Gaussian increments.
 Increments are streamed: a block of paths keeps its streams open and draws
 a chunk of steps at a time into one reused buffer, so memory is
 O(block x chunk) plus the recorded positions, independent of the horizon.
-Drift and potential are read off the grid by grid.periodic_reader, the one
-route every off-node read of a grid function takes; its bits do not depend
-on how many points it reads, and a stream drawn in pieces equals one drawn
-whole.
+Drift and potential are read off the grid by grid.periodic_reader's cell
+lookup, the one route every off-node read of a grid function takes; its
+bits do not depend on how many points it reads, and a stream drawn in
+pieces equals one drawn whole.
 
 A block of a few paths spends its time in numpy's fixed per-call cost, not
 in arithmetic, so blocks narrower than _SCALAR_PATHS walk path by path on
-Python floats over the reader's own tables (grid._interp_tables).  That walk
+Python floats over the lookup's own tables (grid._interp_tables).  That walk
 makes the same IEEE operations in the same order as the vectorized step, so
 it changes the time a narrow run takes and not its bits.
 """
@@ -37,8 +37,8 @@ __all__ = ["McConfig", "PathEnsemble", "simulate_paths", "sample_from_density"]
 _MAX_DOUBLES = 300_000_000  # ~2.4 GB guard: recorded positions plus increments
 _CHUNK_DOUBLES = 1 << 21  # 16 MiB increment buffer per block of paths
 _BLOCK_PATHS = 20_000  # paths stepped together
-_SCALAR_PATHS = 24  # narrower blocks step path by path on Python floats
-_WINDOW_STEPS = 4096  # steps drawn and converted at once by the scalar walk
+_SCALAR_PATHS = 40  # narrower blocks step path by path on Python floats
+_WINDOW_STEPS = 4096  # most steps drawn at once: the scalar walk's window
 _WORD = 2**64 - 1  # mask of one 64-bit word of a Philox key or counter
 
 
@@ -210,20 +210,17 @@ def simulate_paths(
 
     Paths run in blocks of _BLOCK_PATHS.  A block keeps its paths' streams
     and draws their increments step chunk by step chunk into one reused
-    (block, chunk) buffer, chunk = max(1, _CHUNK_DOUBLES // block), or
-    _WINDOW_STEPS when every block is narrower than _SCALAR_PATHS, so
-    memory is O(block x chunk) plus the recorded positions, whatever T is;
-    the guard counts both.  A block of at least _SCALAR_PATHS paths steps
-    them together, reading drift and potential through one
-    grid.periodic_reader built per call: a wide block shares one cell
-    lookup between them, and a narrower one, where a per-point search costs
-    less than the lookup's fixed per-call cost, searches.  A block narrower
-    than _SCALAR_PATHS (about 24, where the two kernels' times cross at
-    n=512, dt=1e-3) walks each path through each chunk on Python floats
-    with the same operations in the same order, and writes the chunk's
-    recorded positions into the path's row.  The bits are the same every
-    way, so the ensemble depends on (seed, path index) alone, not on the
-    block or chunk size.
+    (block, chunk) buffer, chunk = min(_WINDOW_STEPS, _CHUNK_DOUBLES //
+    block) steps, at least one, so memory is O(block x chunk) plus the
+    recorded positions, whatever T is; the guard counts both.  A block of
+    at least _SCALAR_PATHS paths steps them together, reading drift and
+    potential through one grid.periodic_reader built per call, whose cell
+    lookup both share.  A block narrower than _SCALAR_PATHS (40, where the
+    two kernels' times cross at n=512, dt=1e-3) walks each path through
+    each chunk on Python floats with the same operations in the same order,
+    and writes the chunk's recorded positions into the path's row.  The
+    bits are the same every way, so the ensemble depends on (seed, path
+    index) alone, not on the block or chunk size.
     """
     if not T > 0:
         raise ValueError(f"horizon must be positive, got {T}")
@@ -236,10 +233,7 @@ def simulate_paths(
         raise ValueError(f"record_stride {stride} must divide {n_steps} steps")
     n_rec = n_steps // stride + 1
     widest = min(_BLOCK_PATHS, cfg.n_paths)
-    if widest < _SCALAR_PATHS:
-        chunk = min(n_steps, _WINDOW_STEPS)
-    else:
-        chunk = min(n_steps, max(1, _CHUNK_DOUBLES // widest))
+    chunk = min(n_steps, _WINDOW_STEPS, max(1, _CHUNK_DOUBLES // widest))
     if cfg.n_paths * n_rec + widest * chunk > _MAX_DOUBLES:
         raise ValueError("recorded positions and increment buffer would exceed "
                          "the memory guard; increase record_stride")

@@ -209,8 +209,7 @@ def entropy_finite_T_mc(ad: AdmissibleDrift, T: float,
     rate = (ad.curvature + ad.drift * ad.drift) * 0.5
     ens = simulate_paths(ad.potential.grid, ad.drift, ad.density, T, cfg,
                          potential=rate, record_stride=None)
-    g_start = ad.potential.interp(ens.positions[:, 0])
-    g_end = ad.potential.interp(ens.positions[:, -1])
+    g_start, g_end = ad.potential.interp(ens.positions[:, [0, -1]]).T
     values = -(g_end - g_start - ens.potential_integrals)
     estimate = float(values.mean() / T)
     if cfg.n_paths == 1:

@@ -418,6 +418,16 @@ class TestVerify:
         code, checks = run_verify(cfg)
         assert code == 0
 
+    @pytest.mark.parametrize("n", [8, 16])
+    def test_fine_harmonics_dropped_on_small_grids(self, n):
+        # Below 32 nodes verify draws wavenumbers up to n/8 only: k = 4
+        # aliases at n=8 and leaves the entropy forms 1e-4 apart at n=16.
+        cfg = parse_config(MINIMAL + "\n[run]\npaths = 200\nbins = 2\nK = 1\n",
+                           overrides=[f"--grid.n={n}"])
+        code, checks = run_verify(cfg)
+        assert code == 0
+        assert all(c["pass"] for c in checks)
+
     @pytest.mark.parametrize("fault", ["1e-6", "=-1e-6"])
     def test_small_eigenvalue_faults_exit_1(self, tmp_path, fault):
         cfg = write_cfg(tmp_path, MINIMAL + "\n[run]\npaths = 2000\n")

@@ -43,6 +43,13 @@ class TestMakeGrid:
         with pytest.raises(ValueError):
             grid.nodes[0] = 1.0
 
+    def test_equality_and_hash_by_size(self):
+        grid = make_grid(512)
+        assert grid == make_grid(np.int64(512))
+        assert hash(grid) == hash(make_grid(np.int64(512)))
+        assert grid != make_grid(256)
+        assert grid != 512
+
 
 class TestGridFunction:
     def test_rejects_nan(self):
@@ -114,6 +121,8 @@ class TestInterp:
     @pytest.mark.parametrize("n", [6, 512, 4098])
     @pytest.mark.parametrize("size", [511, 512])
     def test_matches_reference_bitwise_at_the_crossover(self, n, size):
+        # 511 and 512 points straddle the size where np.interp once took
+        # over from the cell lookup; the lookup now reads both.
         f = random_function(n, n + size)
         x = np.random.default_rng(size).uniform(-3.0, 3.0, size)
         x[:5] = np.append(f.grid.nodes[:4], 1.0)
@@ -144,6 +153,17 @@ class TestInterp:
         got = f.interp(x)
         assert got.shape == shape
         assert np.array_equal(got, reference_interp(f, x))
+
+    @pytest.mark.parametrize("shape", [(0,), (0, 3)])
+    def test_zero_points_give_empty(self, shape):
+        got = random_function(64, 8).interp(np.empty(shape))
+        assert isinstance(got, np.ndarray) and got.shape == shape
+
+    def test_zero_dimensional_input(self):
+        f = random_function(64, 9)
+        got = f.interp(np.array(-0.3))
+        assert type(got) is np.float64
+        assert got == reference_interp(f, -0.3)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("size", [3, 600])

@@ -70,7 +70,7 @@ def test_zero_drift_walks_as_no_drift(vcos512, n_paths, stride,
 def test_ensembles_identical_across_chunking(vcos512, eig_cos512, monkeypatch,
                                              stride, block_paths,
                                              chunk_doubles):
-    # 700 paths take the index lookup, blocks of 123 take np.interp; chunks
+    # 700 paths in one block or in blocks of 123, the last one of 85; chunks
     # of 1, 7 and 39 steps leave a ragged last chunk of the 100 steps.
     monkeypatch.setattr(mc, "_BLOCK_PATHS", block_paths)
     if chunk_doubles is not None:
@@ -146,14 +146,15 @@ _CROSSOVER = mc._SCALAR_PATHS
 
 @pytest.mark.parametrize("fields", ["drift+potential", "drift", "potential"])
 @pytest.mark.parametrize("n_paths, block_paths", [
-    (1, None), (_CROSSOVER - 1, None), (_CROSSOVER, None),
-    (_CROSSOVER + 1, None), (700, 230),
+    (1, None), (23, None), (24, None), (25, None), (_CROSSOVER - 1, None),
+    (_CROSSOVER, None), (_CROSSOVER + 1, None), (700, 230),
 ])
 def test_scalar_walk_identical_to_reference(vcos512, eig_cos512, monkeypatch,
                                             n_paths, block_paths, fields):
     # Blocks narrower than the crossover walk on Python floats, wider ones
-    # step together; 700 paths in blocks of 230 leave a narrow last block of
-    # 10.  Windows of 7 steps leave a ragged last window of the 102 steps.
+    # step together; 23-25 paths are narrow blocks of several widths, and
+    # 700 paths in blocks of 230 leave a narrow last block of 10.  Windows
+    # of 7 steps leave a ragged last window of the 102 steps.
     if block_paths is not None:
         monkeypatch.setattr(mc, "_BLOCK_PATHS", block_paths)
     monkeypatch.setattr(mc, "_WINDOW_STEPS", 7)
