@@ -4,8 +4,11 @@ Grammar (line oriented): `[section]` headers, `key = value` entries, `#`
 starts a comment.  Values are integers, decimals, bare strings, or bracketed
 numeric lists like [[1,1,0],[2,0,0.5]].  Sections and keys outside the
 schema, duplicate keys, non-finite numbers (inf, nan, or a literal such as
-1e999 that overflows), and values violating module preconditions are all
-rejected with the offending line or key named.
+1e999 that overflows), per-key sign and enumeration violations, and a grid
+size or harmonic list that make_grid or HarmonicSpec rejects are all
+rejected with the offending line or key named.  Rules that tie keys to a
+command (bins dividing n for simulate, K <= n/4 for maximize) are checked
+by the library function that command calls.
 """
 
 from __future__ import annotations
@@ -112,7 +115,7 @@ def _parse_value(section: str, key: str, text: str, where: str):
             raise ConfigError(f"{where}: cannot parse list value {text!r}") from exc
         if not isinstance(parsed, (list, tuple)):
             raise ConfigError(f"{where}: {key} must be a bracketed list")
-        return tuple(tuple(item) for item in parsed)
+        return tuple(parsed)
     if expected is int:
         try:
             value = int(text)
@@ -182,59 +185,32 @@ def _validate(entries: dict[tuple[str, str], object]) -> RunConfig:
             value = get(section, key)
             check(math.isfinite(value), f"{section}.{key} must be finite, got {value}")
 
-    n = get("grid", "n")
-    check(isinstance(n, int) and n >= 4 and n % 2 == 0,
-          f"grid.n must be even and >= 4, got {n}")
-
-    def harmonics_tuple(section: str):
-        raw = get(section, "harmonics")
-        out = []
-        for item in raw:
-            check(len(item) == 3, f"{section}.harmonics entries must be [k,a,b]")
-            k, a, b = item
-            check(float(k).is_integer() and k >= 1,
-                  f"{section}.harmonics wavenumbers must be positive integers")
-            check(int(k) < n // 2,
-                  f"{section}.harmonics wavenumber {int(k)} aliases at n={n}")
-            a, b = float(a), float(b)
-            check(math.isfinite(a) and math.isfinite(b),
-                  f"{section}.harmonics coefficients must be finite, got {list(item)}")
-            out.append((int(k), a, b))
-        ks = [k for k, _, _ in out]
-        check(len(ks) == len(set(ks)), f"{section}.harmonics has duplicate wavenumbers")
-        return tuple(out)
-
+    try:
+        grid = make_grid(get("grid", "n"))
+    except ValueError as exc:
+        raise ConfigError(f"grid.n: {exc}") from None
     for section in ("potential", "g"):
-        merged[(section, "harmonics")] = harmonics_tuple(section)
+        try:
+            spec = HarmonicSpec(harmonics=get(section, "harmonics"))
+            spec.sample(grid)
+        except ValueError as exc:
+            raise ConfigError(f"{section}.harmonics: {exc}") from None
+        merged[(section, "harmonics")] = spec.harmonics
 
-    dt = get("run", "dt")
-    check(dt > 0, f"run.dt must be positive, got {dt}")
-    t = get("run", "t")
-    check(t > 0, f"run.t must be positive, got {t}")
-    T = get("run", "T")
-    check(T > 0, f"run.T must be positive, got {T}")
-    paths = get("run", "paths")
-    check(isinstance(paths, int) and paths >= 1,
-          f"run.paths must be a positive integer, got {paths}")
+    for key in ("dt", "t", "T", "lr"):
+        value = get("run", key)
+        check(value > 0, f"run.{key} must be positive, got {value}")
+    for key in ("paths", "K", "iters"):
+        value = get("run", key)
+        check(value >= 1, f"run.{key} must be a positive integer, got {value}")
     seed = get("run", "seed")
-    check(isinstance(seed, int) and 0 <= seed < 2**64,
-          f"run.seed must fit in uint64, got {seed}")
-    K = get("run", "K")
-    check(isinstance(K, int) and 1 <= K <= n // 4,
-          f"run.K must satisfy 1 <= K <= n/4, got {K}")
-    lr = get("run", "lr")
-    check(lr > 0, f"run.lr must be positive, got {lr}")
-    iters = get("run", "iters")
-    check(isinstance(iters, int) and iters >= 1,
-          f"run.iters must be a positive integer, got {iters}")
+    check(0 <= seed < 2**64, f"run.seed must fit in uint64, got {seed}")
     bins = get("run", "bins")
-    check(isinstance(bins, int) and bins >= 2 and n % bins == 0,
-          f"run.bins must divide n={n}, got {bins}")
+    check(bins >= 2, f"run.bins must be at least 2, got {bins}")
     method = get("run", "method")
     check(method in ("pde", "mc"), f"run.method must be pde or mc, got {method!r}")
     init = get("run", "init")
-    check(init.startswith("point:") or init == "density:muV"
-          or init.startswith("density:"),
+    check(init.startswith(("point:", "density:")),
           f"run.init must be point:<x> or density:muV or density:<csv>, got {init!r}")
     if init.startswith("point:"):
         try:

@@ -17,7 +17,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .grid import GridFunction, integrate
-from .mc import McConfig, simulate_paths
+from .mc import McConfig, mean_and_se, simulate_paths, step_count
 from .spectral import build_generator
 
 __all__ = ["PropagatorConfig", "propagate_pde", "propagate_mc", "check_selfadjoint"]
@@ -35,13 +35,11 @@ class PropagatorConfig:
             raise ValueError(f"horizon must be positive, got {self.t}")
         if not 0 < self.dt <= self.t:
             raise ValueError(f"need 0 < dt <= t, got dt={self.dt}, t={self.t}")
-        steps = self.t / self.dt
-        if abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
-            raise ValueError(f"t/dt = {steps} is not an integer step count")
+        step_count(self.t, self.dt)
 
     @property
     def n_steps(self) -> int:
-        return int(round(self.t / self.dt))
+        return step_count(self.t, self.dt)
 
 
 def propagate_pde(V: GridFunction, f: GridFunction,
@@ -83,12 +81,7 @@ def propagate_mc(V: GridFunction, f: GridFunction, x: float, cfg: McConfig,
     ens = simulate_paths(V.grid, None, x, t, cfg, potential=V,
                          record_stride=None)
     weights = np.exp(ens.potential_integrals)
-    values = weights * f.interp(ens.positions[:, -1])
-    estimate = float(values.mean())
-    if cfg.n_paths == 1:
-        return estimate, 0.0
-    std_error = float(values.std(ddof=1) / np.sqrt(cfg.n_paths))
-    return estimate, std_error
+    return mean_and_se(weights * f.interp(ens.positions[:, -1]))
 
 
 def check_selfadjoint(V: GridFunction, f: GridFunction, g: GridFunction,

@@ -12,8 +12,10 @@ harmonics below the Nyquist mode.
 from __future__ import annotations
 
 import csv
+import numbers
+import sys
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -39,9 +41,11 @@ class PeriodicGrid:
             raise ValueError(f"grid size must be an integer, got {self.n!r}")
         if self.n < 4 or self.n % 2 != 0:
             raise ValueError(f"grid size must be even and >= 4, got {self.n}")
-        nodes = np.arange(self.n, dtype=float) / self.n
-        nodes.setflags(write=False)
-        object.__setattr__(self, "_nodes", nodes)
+        # np.interp's abscissae on the circle: the nodes followed by 1.0
+        knots = np.arange(self.n + 1, dtype=float) / self.n
+        knots.setflags(write=False)
+        object.__setattr__(self, "_knots", knots)
+        object.__setattr__(self, "_nodes", knots[:-1])
 
     @property
     def h(self) -> float:
@@ -103,6 +107,17 @@ class GridFunction:
     def __neg__(self) -> "GridFunction":
         return GridFunction(self.grid, -self.values)
 
+    @cached_property
+    def _table(self) -> tuple[np.ndarray, np.ndarray]:
+        """np.interp's table on the grid's knots xp (the values, then the first
+        again) and its slopes (table[i+1] - table[i]) / (xp[i+1] - xp[i]),
+        padded by 0.0; built on the first read and kept read-only."""
+        table = np.concatenate([self.values, self.values[:1]])
+        slope = np.concatenate([np.diff(table) / np.diff(self.grid._knots), [0.0]])
+        table.setflags(write=False)
+        slope.setflags(write=False)
+        return table, slope
+
     def interp(self, x) -> np.ndarray | float:
         """Evaluate at circle points of any shape by periodic linear interpolation.
 
@@ -136,20 +151,6 @@ def wrap(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _interp_tables(grid: PeriodicGrid, *functions: GridFunction):
-    """np.interp's nodes, tables and slopes for reading functions on the circle.
-
-    xp is the n nodes followed by 1.0, and each table repeats its first value
-    there.  slope[i] = (table[i+1] - table[i]) / (xp[i+1] - xp[i]) is the
-    value np.interp computes for cell i; a trailing 0.0 pads slope to the
-    length of xp.  Returns (xp, tables, slopes).
-    """
-    xp = np.concatenate([grid.nodes, [1.0]])
-    tables = [np.concatenate([f.values, f.values[:1]]) for f in functions]
-    slopes = [np.concatenate([np.diff(t) / np.diff(xp), [0.0]]) for t in tables]
-    return xp, tables, slopes
-
-
 def periodic_reader(grid: PeriodicGrid, *functions: GridFunction):
     """Reader of grid functions at points of [0, 1], one array per function.
 
@@ -157,13 +158,14 @@ def periodic_reader(grid: PeriodicGrid, *functions: GridFunction):
     cell by one where x n rounds across an integer, or where the node i/n
     itself rounds, so one comparison on each side settles it.  Each function
     then takes np.interp's own formula, slope[i] (x - xp[i]) + table[i], with
-    its slopes computed once here; the bits are np.interp's on the n nodes
-    followed by 1.0, with the first value repeated there, for any number of
-    points.  Points of any shape are read, a 0-d array as a numpy float;
-    inputs above _BLOCK_POINTS points are read block by block.
+    the slopes each GridFunction keeps from its first read; the bits are
+    np.interp's on the n nodes followed by 1.0, with the first value repeated
+    there, for any number of points.  Points of any shape are read, a 0-d
+    array as a numpy float; inputs above _BLOCK_POINTS points are read block
+    by block.
     """
-    n = grid.n
-    xp, tables, slopes = _interp_tables(grid, *functions)
+    n, xp = grid.n, grid._knots
+    tables = [f._table for f in functions]
 
     def lookup(x):
         i = (x * n).astype(np.intp)
@@ -171,7 +173,7 @@ def periodic_reader(grid: PeriodicGrid, *functions: GridFunction):
         i -= xp[i] > x
         i += xp[i + 1] <= x
         offset = x - xp[i]
-        return [slope[i] * offset + table[i] for table, slope in zip(tables, slopes)]
+        return [slope[i] * offset + table[i] for table, slope in tables]
 
     def read(x: np.ndarray) -> list:
         if not tables:
@@ -193,7 +195,11 @@ def periodic_reader(grid: PeriodicGrid, *functions: GridFunction):
 
 @dataclass(frozen=True)
 class HarmonicSpec:
-    """Finite trigonometric sum: constant + sum_k a_k cos(2 pi k x) + b_k sin(2 pi k x)."""
+    """Finite trigonometric sum: constant + sum_k a_k cos(2 pi k x) + b_k sin(2 pi k x).
+
+    Each harmonic is a row (k, a, b) of real numbers: k a positive integer
+    not repeated, a and b finite.  Any other row raises ValueError.
+    """
 
     constant: float = 0.0
     harmonics: tuple = field(default_factory=tuple)
@@ -202,15 +208,21 @@ class HarmonicSpec:
         norm = []
         seen = set()
         for item in self.harmonics:
-            if len(item) != 3:
-                raise ValueError(f"harmonic entries must be (k, a, b), got {item!r}")
-            k, a, b = item
-            if int(k) != k or k < 1:
+            try:
+                k, a, b = item
+            except (TypeError, ValueError):
+                raise ValueError(
+                    f"harmonic entries must be (k, a, b), got {item!r}") from None
+            if not all(isinstance(v, numbers.Real) for v in (k, a, b)):
+                raise ValueError(f"harmonic entries must be numbers, got {item!r}")
+            if not (k >= 1 and k % 1 == 0):  # inf % 1 and nan % 1 are nan
                 raise ValueError(f"wavenumbers must be positive integers, got {k!r}")
             k = int(k)
             if k in seen:
                 raise ValueError(f"duplicate wavenumber {k}")
             seen.add(k)
+            if not all(abs(v) <= sys.float_info.max for v in (a, b)):  # nan fails too
+                raise ValueError(f"harmonic coefficients must be finite, got {item!r}")
             norm.append((k, float(a), float(b)))
         object.__setattr__(self, "harmonics", tuple(norm))
         object.__setattr__(self, "constant", float(self.constant))

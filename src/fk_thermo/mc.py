@@ -17,9 +17,10 @@ pieces equals one drawn whole.
 
 A block of a few paths spends its time in numpy's fixed per-call cost, not
 in arithmetic, so blocks narrower than _SCALAR_PATHS walk path by path on
-Python floats over the lookup's own tables (grid._interp_tables).  That walk
-makes the same IEEE operations in the same order as the vectorized step, so
-it changes the time a narrow run takes and not its bits.
+Python floats over the lookup's own tables (the grid's knots and each
+GridFunction's cached table and slopes).  That walk makes the same IEEE
+operations in the same order as the vectorized step, so it changes the time
+a narrow run takes and not its bits.
 """
 
 from __future__ import annotations
@@ -30,9 +31,10 @@ from math import floor
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .grid import GridFunction, PeriodicGrid, _interp_tables, periodic_reader, wrap
+from .grid import GridFunction, PeriodicGrid, periodic_reader, wrap
 
-__all__ = ["McConfig", "PathEnsemble", "simulate_paths", "sample_from_density"]
+__all__ = ["McConfig", "PathEnsemble", "simulate_paths", "sample_from_density",
+           "step_count", "mean_and_se"]
 
 _MAX_DOUBLES = 300_000_000  # ~2.4 GB guard: recorded positions plus increments
 _CHUNK_DOUBLES = 1 << 21  # 16 MiB increment buffer per block of paths
@@ -57,6 +59,26 @@ class McConfig:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if not 0 <= int(self.seed) < 2**64:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
+
+
+def step_count(T: float, dt: float) -> int:
+    """round(T / dt), the step count of horizon T; it must be at least 1.
+
+    Raises ValueError unless T / dt is within 1e-9 relative of that integer.
+    """
+    steps = T / dt
+    n_steps = int(round(steps))
+    if n_steps < 1 or abs(steps - n_steps) > 1e-9 * max(1.0, steps):
+        raise ValueError(f"horizon {T} is not an integer number of dt={dt} steps")
+    return n_steps
+
+
+def mean_and_se(values: np.ndarray) -> tuple[float, float]:
+    """Sample mean and its standard error; one value has standard error 0."""
+    mean = float(values.mean())
+    if values.size == 1:
+        return mean, 0.0
+    return mean, float(values.std(ddof=1) / np.sqrt(values.size))
 
 
 class _PhiloxKey(ISeedSequence):
@@ -224,10 +246,7 @@ def simulate_paths(
     """
     if not T > 0:
         raise ValueError(f"horizon must be positive, got {T}")
-    steps_float = T / cfg.dt
-    n_steps = int(round(steps_float))
-    if n_steps < 1 or abs(steps_float - n_steps) > 1e-9 * max(1.0, steps_float):
-        raise ValueError(f"T={T} is not an integer number of dt={cfg.dt} steps")
+    n_steps = step_count(T, cfg.dt)
     stride = n_steps if record_stride is None else int(record_stride)
     if stride < 1 or n_steps % stride != 0:
         raise ValueError(f"record_stride {stride} must divide {n_steps} steps")
@@ -249,10 +268,6 @@ def simulate_paths(
     # potential first, drift last: read(x)[0] and read(x)[-1]
     fields = [f for f in (potential, drift) if f is not None]
     read = periodic_reader(grid, *fields)
-    xp, tables, slopes = _interp_tables(grid, *fields)
-    pairs = [(table.tolist(), slope.tolist()) for table, slope in zip(tables, slopes)]
-    scalar_tables = (xp.tolist(), pairs[-1] if drift is not None else None,
-                     pairs[0] if potential is not None else None)
 
     positions = np.empty((cfg.n_paths, n_rec))
     integrals = np.zeros(cfg.n_paths) if potential is not None else None
@@ -272,8 +287,11 @@ def simulate_paths(
         positions[lo:hi, 0] = x
         acc = np.zeros(nb) if integrals is not None else None
         narrow = nb < _SCALAR_PATHS
-        if narrow:  # the scalar walk carries each path's state as floats
+        if narrow:  # the scalar walk carries states and tables as Python floats
             x, acc = x.tolist(), [0.0] * nb
+            scalar_tables = (grid._knots.tolist(), *(
+                None if f is None else tuple(a.tolist() for a in f._table)
+                for f in (drift, potential)))
         col = 1
         for k0 in range(0, n_steps, chunk):
             width = min(chunk, n_steps - k0)

@@ -29,7 +29,7 @@ from scipy.sparse.linalg import LinearOperator, gmres, splu
 
 from .grid import (GridFunction, HarmonicSpec, PeriodicGrid, _derivative_values,
                    derivative, integrate)
-from .mc import McConfig, simulate_paths
+from .mc import McConfig, mean_and_se, simulate_paths
 from .spectral import (EigenSolution, NonConvergence, build_generator,
                        roundoff_bound, stencil_excess)
 
@@ -73,15 +73,13 @@ class AdmissibleDrift:
     potential   g itself (defined up to an additive constant)
     drift       g', the drift field of the process
     curvature   g'', differentiated consistently with drift
-    density     invariant probability density e^{2g} / mass
-    mass        normalizing integral of e^{2g}
+    density     invariant probability density e^{2g} / integral of e^{2g}
     """
 
     potential: GridFunction
     drift: GridFunction
     curvature: GridFunction
     density: GridFunction
-    mass: float
 
     def __post_init__(self) -> None:
         rho = self.density.values
@@ -112,12 +110,10 @@ def admissible_from_values(g: GridFunction) -> AdmissibleDrift:
     drift = _derivative_values(vals, 1)
     curvature = _derivative_values(drift, 1)
     weights = np.exp(2.0 * (vals - top))
-    mass_shifted = grid.h * float(weights.sum())
-    mass = mass_shifted * float(np.exp(2.0 * top))
+    mass = grid.h * float(weights.sum())
     return AdmissibleDrift(potential=g, drift=GridFunction(grid, drift),
                            curvature=GridFunction(grid, curvature),
-                           density=GridFunction(grid, weights / mass_shifted),
-                           mass=mass)
+                           density=GridFunction(grid, weights / mass))
 
 
 def admissible_from_spec(spec: HarmonicSpec, grid: PeriodicGrid) -> AdmissibleDrift:
@@ -210,12 +206,8 @@ def entropy_finite_T_mc(ad: AdmissibleDrift, T: float,
     ens = simulate_paths(ad.potential.grid, ad.drift, ad.density, T, cfg,
                          potential=rate, record_stride=None)
     g_start, g_end = ad.potential.interp(ens.positions[:, [0, -1]]).T
-    values = -(g_end - g_start - ens.potential_integrals)
-    estimate = float(values.mean() / T)
-    if cfg.n_paths == 1:
-        return estimate, 0.0
-    std_error = float(values.std(ddof=1) / np.sqrt(cfg.n_paths) / T)
-    return estimate, std_error
+    mean, std_error = mean_and_se(-(g_end - g_start - ens.potential_integrals))
+    return mean / T, std_error / T
 
 
 def pressure_value(ad: AdmissibleDrift, V: GridFunction) -> float:

@@ -1,13 +1,15 @@
 import json
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fk_thermo import __version__
+from fk_thermo import __version__, cli
 from fk_thermo.cli import main, run_verify
 from fk_thermo.config import ConfigError, parse_config
+from fk_thermo.grid import HarmonicSpec
 from fk_thermo.serialize import write_csv, write_json
 
 MINIMAL = """
@@ -141,9 +143,31 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=rf"{re.escape(key)}.*finite"):
             parse_config("", overrides=[override])
 
-    def test_bins_must_divide_n(self):
-        with pytest.raises(ConfigError, match="bins"):
-            parse_config("[grid]\nn = 256\n[run]\nbins = 100\n")
+    def test_command_rules_left_to_the_commands(self):
+        # bins | n is simulate's and K <= n/4 maximize's; the config only
+        # keeps each key's own range.
+        cfg = parse_config("[grid]\nn = 100\n[run]\nbins = 64\nK = 30\n")
+        assert (cfg.n, cfg.bins, cfg.K) == (100, 64, 30)
+        with pytest.raises(ConfigError, match="run.bins"):
+            parse_config("[run]\nbins = 1\n")
+        with pytest.raises(ConfigError, match="run.K"):
+            parse_config("[run]\nK = 0\n")
+
+    @pytest.mark.parametrize("value, entry", [
+        ('[["a",1,0]]', ["a", 1, 0]),
+        ("[1,2,3]", 1),
+        ("[[1,1e999,0]]", [1, float("inf"), 0]),
+        ("[[1,1,0,3]]", [1, 1, 0, 3]),
+        ("[[1.5,1,0]]", [1.5, 1, 0]),
+        ("[[1,1%s,0]]" % ("0" * 400), [1, 10**400, 0]),
+    ])
+    @pytest.mark.parametrize("section", ["potential", "g"])
+    def test_malformed_harmonics_name_the_key(self, section, value, entry):
+        with pytest.raises(ValueError):
+            HarmonicSpec(harmonics=[entry])
+        key = f"{section}.harmonics"
+        with pytest.raises(ConfigError, match=rf"^{re.escape(key)}: "):
+            parse_config("", overrides=[f"--{key}={value}"])
 
     def test_readme_example_matches_defaults(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -339,6 +363,53 @@ class TestCliCommands:
             '"g": {"constant": 0.5, "harmonics": [[2, 0.1, 0.2]], '
             '"csv": "g.csv", "use": "doob"}}}\n' % __version__)
 
+    @pytest.mark.parametrize("n", [16, 100])
+    @pytest.mark.parametrize("command", ["eigen", "propagate", "entropy", "verify"])
+    def test_commands_run_on_any_even_grid(self, tmp_path, monkeypatch, command, n):
+        monkeypatch.chdir(tmp_path)
+        assert main([command, f"--grid.n={n}"]) == 0
+
+    def test_simulate_checks_bins_before_drawing_paths(self, tmp_path, monkeypatch,
+                                                       capsys):
+        def no_paths(*args, **kwargs):
+            raise AssertionError("paths drawn before bins was checked")
+
+        monkeypatch.setattr(cli, "simulate_sde", no_paths)
+        monkeypatch.chdir(tmp_path)
+        assert main(["simulate", "--grid.n=100"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["fk-thermo: bins=64 must divide the grid size 100"]
+        assert Path("meta.json").exists()
+
+    def test_maximize_checks_K(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["maximize", "--grid.n=16"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["fk-thermo: need 1 <= K <= n/4 = 4, got 8"]
+        assert Path("meta.json").exists()
+
+    def test_malformed_harmonics_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["eigen", "--potential.harmonics=[1,2,3]",
+                     f"--run.out={out}"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("fk-thermo: potential.harmonics: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("n", [4, 6])
+    @pytest.mark.parametrize("argv", [["entropy", "--g.use=doob"], ["verify"]],
+                             ids=lambda argv: argv[0])
+    def test_tiny_grids_fail_the_entropy_cross_check(self, tmp_path, capsys,
+                                                     argv, n):
+        # Four or six nodes do not resolve e^{2g} of the eigen drift, so its
+        # two entropy forms part by more than 1e-9 (about 1e-4 and 5e-9).
+        assert main([*argv, f"--grid.n={n}", "--potential.harmonics=[[1,1,0]]",
+                     f"--run.out={tmp_path}"]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("fk-thermo: EntropyMismatch: ")
+
     def test_config_error_exit_code(self, tmp_path):
         cfg = write_cfg(tmp_path, "[grid]\nn = 255\n")
         assert main(["eigen", "--config", cfg]) == 2
@@ -427,6 +498,16 @@ class TestVerify:
         code, checks = run_verify(cfg)
         assert code == 0
         assert all(c["pass"] for c in checks)
+
+    def test_single_path(self, tmp_path):
+        # One path has no spread to estimate: its standard error is 0.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["verify", "--grid.n=64", "--run.paths=1",
+                         f"--run.out={tmp_path}"]) == 0
+        checks = json.loads((tmp_path / "verify.json").read_text())["checks"]
+        assert checks[-1]["name"] == "martingale_mean"
+        assert checks[-1]["tolerance"] == 5e-3
 
     @pytest.mark.parametrize("fault", ["1e-6", "=-1e-6"])
     def test_small_eigenvalue_faults_exit_1(self, tmp_path, fault):

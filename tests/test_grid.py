@@ -130,6 +130,16 @@ class TestInterp:
         assert got.shape == (size,)
         assert np.array_equal(got, reference_interp(f, x))
 
+    def test_table_built_once_per_function(self):
+        f = random_function(64, 4)
+        table, slope = f._table
+        x = np.random.default_rng(4).uniform(0.0, 1.0, 9)
+        first = f.interp(x)
+        assert f._table[0] is table and f._table[1] is slope
+        assert np.array_equal(f.interp(x), first)
+        assert not table.flags.writeable and not slope.flags.writeable
+        assert np.array_equal(f.grid._knots, np.append(f.grid.nodes, 1.0))
+
     @pytest.mark.parametrize("shape", [(7, 3), (40, 25)])
     def test_two_dimensional_input(self, shape):
         f = random_function(256, 1)

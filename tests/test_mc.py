@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 import fk_thermo.mc as mc
-from fk_thermo import (GridFunction, HarmonicSpec, McConfig, gibbs_density,
-                       make_grid, simulate_paths)
+from fk_thermo import (GridFunction, HarmonicSpec, McConfig, PropagatorConfig,
+                       gibbs_density, make_grid, simulate_paths)
 from fk_thermo.mc import sample_from_density
 
 from oracles import euler_paths
@@ -128,6 +128,23 @@ def test_memory_guard_counts_increment_buffer(monkeypatch):
         simulate_paths(grid, None, 0.5, 1.0, cfg)
     monkeypatch.setattr(mc, "_MAX_DOUBLES", 10_020)
     assert simulate_paths(grid, None, 0.5, 1.0, cfg).positions.shape == (10, 2)
+
+
+@pytest.mark.parametrize("T, dt, steps", [
+    (1.0, 1e-3, 1000), (0.3, 0.1, 3), (0.5, 0.3, None), (1e-12, 1.0, None),
+])
+def test_step_count_shared_by_paths_and_propagation(T, dt, steps):
+    if steps is not None:
+        assert mc.step_count(T, dt) == steps
+        assert PropagatorConfig(t=T, dt=dt).n_steps == steps
+        return
+    with pytest.raises(ValueError, match="not an integer number"):
+        mc.step_count(T, dt)
+    with pytest.raises(ValueError, match="not an integer number"):
+        simulate_paths(make_grid(8), None, 0.5, T, McConfig(1, dt, 1))
+    if dt <= T:
+        with pytest.raises(ValueError, match="not an integer number"):
+            PropagatorConfig(t=T, dt=dt)
 
 
 def test_fixed_start_recorded_inside_unit_interval():
