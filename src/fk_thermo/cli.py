@@ -26,9 +26,8 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, RunConfig, parse_config
-from .feynman_kac import PropagatorConfig, check_selfadjoint, propagate_mc, propagate_pde
-from .gibbs import (bin_density, histogram_density, normalized_semigroup,
-                    rn_weights, simulate_sde, tv_distance)
+from .feynman_kac import PropagatorConfig, propagate_mc, propagate_pde, propagate_pde_many
+from .gibbs import bin_density, histogram_density, rn_weights, simulate_sde, tv_distance
 from .grid import GridFunction, HarmonicSpec, function_from_csv, integrate
 from .mc import McConfig, mean_and_se
 from .serialize import write_csv, write_json
@@ -212,29 +211,33 @@ def run_verify(cfg: RunConfig, perturb_eigenvalue: float = 0.0):
         return HarmonicSpec(harmonics=[(k, *scale * rng.uniform(-1.0, 1.0, 2))
                                        for k in range(1, kmax + 1)]).sample(grid)
 
+    # One sweep of [f1, g1, f2, g2, f3, g3, F, F f1', F f2', F f3'] serves 3 checks.
+    fs = [random_harmonic() for _ in range(9)]
+    F = sol.eigenfunction
+    sweep = propagate_pde_many(V, fs[:6] + [F] + [F * f for f in fs[6:]],
+                               (0.1, 0.5, 1.0), cfg.dt)
+    doob = {t: np.exp(lam * t) * F.values for t in sweep}  # as in normalized_semigroup
+
     # Self-adjointness of the propagator in the flat inner product.
     worst = 0.0
-    for _ in range(3):
-        f = random_harmonic()
-        g = random_harmonic()
+    for i in (0, 2, 4):
         for t in (0.1, 0.5):
-            worst = max(worst, check_selfadjoint(V, f, g, t, cfg.dt))
+            (f, g), (pf, pg) = fs[i:i + 2], sweep[t][i:i + 2]
+            worst = max(worst, abs(integrate(pf * g) - integrate(f * pg)))
     record("selfadjoint_residual", worst, 1e-9)
 
     # The normalized semigroup fixes constants.
-    ones = GridFunction(grid, np.ones(grid.n))
     worst = 0.0
     for t in (0.1, 0.5, 1.0):
-        out = normalized_semigroup(sol, V, ones, t, cfg.dt)
+        out = GridFunction(grid, sweep[t][6].values / doob[t])
         worst = max(worst, float(np.max(np.abs(out.values - 1.0))))
     record("stochastic_unit", worst, 1e-8)
 
     # Stationarity of the eigen-density under the normalized semigroup.
     density = gibbs_density(sol)
     worst = 0.0
-    for _ in range(3):
-        f = random_harmonic()
-        moved = normalized_semigroup(sol, V, f, 0.5, cfg.dt)
+    for f, u in zip(fs[6:], sweep[0.5][7:]):
+        moved = GridFunction(grid, u.values / doob[0.5])
         worst = max(worst, abs(integrate(moved * density) - integrate(f * density)))
     record("gibbs_stationarity", worst, 1e-7)
 

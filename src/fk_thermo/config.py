@@ -5,10 +5,10 @@ starts a comment.  Values are integers, decimals, bare strings, or bracketed
 numeric lists like [[1,1,0],[2,0,0.5]].  Sections and keys outside the
 schema, duplicate keys, non-finite numbers (inf, nan, or a literal such as
 1e999 that overflows), per-key sign and enumeration violations, and a grid
-size or harmonic list that make_grid or HarmonicSpec rejects are all
-rejected with the offending line or key named.  Rules that tie keys to a
-command (bins dividing n for simulate, K <= n/4 for maximize) are checked
-by the library function that command calls.
+size or harmonic sum (constant included) that make_grid or HarmonicSpec
+rejects are all rejected with the offending line or key named.  Rules that
+tie keys to a command (bins dividing n for simulate, K <= n/4 for maximize)
+are checked by the library function that command calls.
 """
 
 from __future__ import annotations
@@ -191,7 +191,7 @@ def _validate(entries: dict[tuple[str, str], object]) -> RunConfig:
         raise ConfigError(f"grid.n: {exc}") from None
     for section in ("potential", "g"):
         try:
-            spec = HarmonicSpec(harmonics=get(section, "harmonics"))
+            spec = HarmonicSpec(get(section, "constant"), get(section, "harmonics"))
             spec.sample(grid)
         except ValueError as exc:
             raise ConfigError(f"{section}.harmonics: {exc}") from None

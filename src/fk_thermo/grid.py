@@ -227,12 +227,10 @@ class HarmonicSpec:
         object.__setattr__(self, "harmonics", tuple(norm))
         object.__setattr__(self, "constant", float(self.constant))
 
-    def max_wavenumber(self) -> int:
-        return max((k for k, _, _ in self.harmonics), default=0)
-
+    @np.errstate(over="ignore", invalid="ignore")  # GridFunction rejects inf and nan
     def sample(self, grid: PeriodicGrid) -> GridFunction:
         """Evaluate the sum at the grid nodes; rejects aliased wavenumbers."""
-        kmax = self.max_wavenumber()
+        kmax = max((k for k, _, _ in self.harmonics), default=0)
         if kmax >= grid.n // 2:
             raise ValueError(
                 f"wavenumber {kmax} aliases on a grid with {grid.n} nodes "

@@ -26,7 +26,7 @@ a narrow run takes and not its bits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import floor
+from math import floor, isfinite
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -64,10 +64,10 @@ class McConfig:
 def step_count(T: float, dt: float) -> int:
     """round(T / dt), the step count of horizon T; it must be at least 1.
 
-    Raises ValueError unless T / dt is within 1e-9 relative of that integer.
+    Raises ValueError unless a finite T / dt is within 1e-9 relative of it.
     """
     steps = T / dt
-    n_steps = int(round(steps))
+    n_steps = int(round(steps)) if isfinite(steps) else 0
     if n_steps < 1 or abs(steps - n_steps) > 1e-9 * max(1.0, steps):
         raise ValueError(f"horizon {T} is not an integer number of dt={dt} steps")
     return n_steps
@@ -244,8 +244,6 @@ def simulate_paths(
     bits are the same every way, so the ensemble depends on (seed, path
     index) alone, not on the block or chunk size.
     """
-    if not T > 0:
-        raise ValueError(f"horizon must be positive, got {T}")
     n_steps = step_count(T, cfg.dt)
     stride = n_steps if record_stride is None else int(record_stride)
     if stride < 1 or n_steps % stride != 0:

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import splu
 
 from fk_thermo import __version__, cli
 from fk_thermo.cli import main, run_verify
@@ -397,6 +398,21 @@ class TestCliCommands:
         assert err[0].startswith("fk-thermo: potential.harmonics: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("potential", [
+        ["--potential.constant=1e308", "--potential.harmonics=[[1,1e308,0]]"],
+        ["--potential.harmonics=[[1,1e308,0],[2,1e308,0]]"],
+    ], ids=["constant", "harmonics"])
+    def test_overflowing_potential_named_at_parse_time(self, tmp_path, capsys,
+                                                       potential):
+        # The section's constant is summed with its harmonics when the config
+        # is checked, and numpy's overflow warning is not printed.
+        out = tmp_path / "out"
+        assert main(["eigen", "--grid.n=16", *potential, f"--run.out={out}"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["fk-thermo: potential.harmonics: grid function values "
+                       "must be finite"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("n", [4, 6])
     @pytest.mark.parametrize("argv", [["entropy", "--g.use=doob"], ["verify"]],
                              ids=lambda argv: argv[0])
@@ -498,6 +514,21 @@ class TestVerify:
         code, checks = run_verify(cfg)
         assert code == 0
         assert all(c["pass"] for c in checks)
+
+    def test_one_crank_nicolson_factorization(self, monkeypatch):
+        # Every propagation verify checks comes from one sweep at (V, dt).
+        factored = []
+
+        def counting_splu(matrix):
+            factored.append(matrix.shape)
+            return splu(matrix)
+
+        monkeypatch.setattr("fk_thermo.feynman_kac.splu", counting_splu)
+        cfg = parse_config(MINIMAL + "\n[run]\npaths = 200\n",
+                           overrides=["--grid.n=64"])
+        code, _ = run_verify(cfg)
+        assert code == 0
+        assert factored == [(64, 64)]
 
     def test_single_path(self, tmp_path):
         # One path has no spread to estimate: its standard error is 0.

@@ -1,9 +1,14 @@
+import hypothesis
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 from fk_thermo import (GridFunction, HarmonicSpec, McConfig, PropagatorConfig,
-                       check_selfadjoint, gibbs_density, integrate, make_grid,
-                       propagate_mc, propagate_pde)
+                       build_generator, check_selfadjoint, gibbs_density,
+                       integrate, make_grid, propagate_mc, propagate_pde)
+from fk_thermo.feynman_kac import propagate_pde_many
 
 from conftest import random_harmonic
 
@@ -14,7 +19,8 @@ def const_fn(grid, c):
 
 class TestPropagatorConfig:
     @pytest.mark.parametrize("t,dt", [(0.0, 0.1), (1.0, -0.1), (0.5, 0.7),
-                                      (1.0, 0.0003)])
+                                      (1.0, 0.0003), (float("inf"), 1e-3),
+                                      (float("nan"), 1e-3)])
     def test_rejects_bad_steps(self, t, dt):
         with pytest.raises(ValueError):
             PropagatorConfig(t=t, dt=dt)
@@ -75,11 +81,70 @@ class TestPropagatePde:
         with pytest.raises(ValueError, match="cap"):
             propagate_pde(V, const_fn(grid512, 1.0), PropagatorConfig(t=0.6, dt=0.6))
 
+    @pytest.mark.parametrize("below", [False, True], ids=["at_cap", "below_cap"])
+    def test_dt_cap_boundary(self, grid512, below):
+        V = HarmonicSpec(harmonics=[(1, 4.0, 0.0)]).sample(grid512)
+        cap = 2.0 / np.max(V.values)
+        assert cap == 0.5
+        dt = float(np.nextafter(cap, 0.0)) if below else cap
+        cfg = PropagatorConfig(t=dt, dt=dt)
+        if below:
+            assert np.all(np.isfinite(propagate_pde(V, const_fn(grid512, 1.0), cfg).values))
+        else:
+            with pytest.raises(ValueError, match="cap"):
+                propagate_pde(V, const_fn(grid512, 1.0), cfg)
+
     def test_grid_mismatch_rejected(self, grid512):
         other = make_grid(256)
         with pytest.raises(ValueError):
             propagate_pde(const_fn(grid512, 0.0), const_fn(other, 1.0),
                           PropagatorConfig(t=0.1, dt=1e-3))
+
+
+class TestPropagatePdeMany:
+    @hypothesis.settings(max_examples=100, deadline=None, derandomize=True)
+    @hypothesis.given(n=st.sampled_from([8, 64, 256, 512]),
+                      dt=st.sampled_from([1e-3, 5e-4, 1 / 1024]),
+                      m=st.integers(1, 10),
+                      steps=st.lists(st.integers(1, 120), min_size=1, max_size=3),
+                      seed=st.integers(0, 2**32 - 1))
+    def test_each_column_has_the_bits_of_its_own_run(self, n, dt, m, steps, seed):
+        # Horizons come in any order, duplicates included; the result is
+        # keyed by the distinct horizons in ascending order.
+        rng = np.random.default_rng(seed)
+        grid = make_grid(n)
+        V = GridFunction(grid, rng.uniform(-2.0, 2.0, n))
+        fs = [GridFunction(grid, rng.uniform(-1.0, 1.0, n)) for _ in range(m)]
+        horizons = [k * dt for k in steps]
+        out = propagate_pde_many(V, fs, horizons, dt)
+        assert list(out) == sorted(set(horizons))
+        for t, columns in out.items():
+            assert len(columns) == m
+            for f, u in zip(fs, columns):
+                alone = propagate_pde(V, f, PropagatorConfig(t=t, dt=dt))
+                assert np.array_equal(u.values, alone.values)
+
+    def test_one_column_is_the_one_dimensional_march(self, vcos512):
+        # The increment-form step on a 1-D state, written out: the kernel's
+        # (n, 1) stack reproduces it bit for bit.
+        f = HarmonicSpec(constant=1.0, harmonics=[(1, 0.0, 0.5)]).sample(vcos512.grid)
+        dt = 1e-3
+        A = build_generator(vcos512).matrix
+        lu = splu((sp.eye_array(vcos512.grid.n) - 0.5 * dt * A).tocsc())
+        u = f.values.copy()
+        for _ in range(300):
+            u += lu.solve(dt * (A @ u))
+        only = propagate_pde_many(vcos512, [f], [0.3], dt)[0.3][0]
+        assert np.array_equal(only.values, u)
+
+    def test_checks_every_function_and_horizon(self, grid512, vcos512):
+        f = const_fn(grid512, 1.0)
+        with pytest.raises(ValueError, match="different grids"):
+            propagate_pde_many(vcos512, [f, const_fn(make_grid(256), 1.0)], [0.1], 1e-3)
+        with pytest.raises(ValueError, match="not an integer number"):
+            propagate_pde_many(vcos512, [f], [0.1, 0.15005], 1e-3)
+        with pytest.raises(ValueError, match="dt must be positive"):
+            propagate_pde_many(vcos512, [f], [0.1], -1e-3)
 
 
 class TestPropagateMc:

@@ -132,6 +132,7 @@ def test_memory_guard_counts_increment_buffer(monkeypatch):
 
 @pytest.mark.parametrize("T, dt, steps", [
     (1.0, 1e-3, 1000), (0.3, 0.1, 3), (0.5, 0.3, None), (1e-12, 1.0, None),
+    (float("inf"), 1e-3, None), (float("nan"), 1e-3, None),
 ])
 def test_step_count_shared_by_paths_and_propagation(T, dt, steps):
     if steps is not None:
@@ -142,9 +143,8 @@ def test_step_count_shared_by_paths_and_propagation(T, dt, steps):
         mc.step_count(T, dt)
     with pytest.raises(ValueError, match="not an integer number"):
         simulate_paths(make_grid(8), None, 0.5, T, McConfig(1, dt, 1))
-    if dt <= T:
-        with pytest.raises(ValueError, match="not an integer number"):
-            PropagatorConfig(t=T, dt=dt)
+    with pytest.raises(ValueError, match="not an integer number"):
+        PropagatorConfig(t=T, dt=dt)
 
 
 def test_fixed_start_recorded_inside_unit_interval():
