@@ -12,8 +12,8 @@ __version__ = "0.1.0"
 
 from .grid import (GridFunction, HarmonicSpec, PeriodicGrid, derivative,
                    function_from_csv, integrate, make_grid)
-from .spectral import (DegenerateGap, EigenSolution, OperatorMatrix,
-                       PositivityViolation, build_generator,
+from .spectral import (DegenerateGap, EigenSolution, NumericalFailure,
+                       OperatorMatrix, PositivityViolation, build_generator,
                        critical_point_count, eigen_probability, gibbs_density,
                        principal_eigenpair)
 from .feynman_kac import (PropagatorConfig, check_selfadjoint, propagate_mc,
@@ -23,17 +23,17 @@ from .gibbs import (generator_apply, invariance_residual, normalized_semigroup,
                     rn_weights, rn_weights_admissible, simulate_sde,
                     tv_distance)
 from .thermo import (AdmissibleDrift, DecompositionMismatch, EntropyMismatch,
-                     EntropyReport, MaximizeResult, NonConvergence,
-                     admissible_from_eigen, admissible_from_spec,
+                     MaximizeResult, NonConvergence, admissible_from_eigen,
                      admissible_from_values, carre_du_champ,
-                     entropy_finite_T_mc, make_entropy_report,
-                     maximize_pressure, pressure_decomposition, pressure_gap,
-                     pressure_value, relative_entropy)
+                     entropy_finite_T_mc, entropy_report, maximize_pressure,
+                     pressure_decomposition, pressure_gap, pressure_value,
+                     relative_entropy)
 
 __all__ = [
     "GridFunction", "HarmonicSpec", "PeriodicGrid", "derivative",
     "function_from_csv", "integrate", "make_grid",
-    "DegenerateGap", "EigenSolution", "OperatorMatrix", "PositivityViolation",
+    "DegenerateGap", "EigenSolution", "NumericalFailure", "OperatorMatrix",
+    "PositivityViolation",
     "build_generator", "critical_point_count", "eigen_probability",
     "gibbs_density", "principal_eigenpair",
     "PropagatorConfig", "check_selfadjoint", "propagate_mc", "propagate_pde",
@@ -41,9 +41,8 @@ __all__ = [
     "generator_apply", "invariance_residual", "normalized_semigroup",
     "rn_weights", "rn_weights_admissible", "simulate_sde", "tv_distance",
     "AdmissibleDrift", "DecompositionMismatch", "EntropyMismatch",
-    "EntropyReport", "MaximizeResult", "NonConvergence",
-    "admissible_from_eigen", "admissible_from_spec", "admissible_from_values",
-    "carre_du_champ", "entropy_finite_T_mc", "make_entropy_report",
-    "maximize_pressure", "pressure_decomposition", "pressure_gap",
-    "pressure_value", "relative_entropy",
+    "MaximizeResult", "NonConvergence", "admissible_from_eigen",
+    "admissible_from_values", "carre_du_champ", "entropy_finite_T_mc",
+    "entropy_report", "maximize_pressure", "pressure_decomposition",
+    "pressure_gap", "pressure_value", "relative_entropy",
 ]

@@ -9,16 +9,17 @@ the summary line(s) ending in " -> <out>/<command>.json".  Floats and key
 order are fixed, so identical configs reproduce byte-identical files.
 
 Exit codes: 0 success / all checks pass, 1 verification failure, 2 usage or
-configuration error, 3 named numerical failure (NonConvergence,
-PositivityViolation, DegenerateGap, DecompositionMismatch or
-EntropyMismatch), reported as one "fk-thermo: <Name>: <message>" line on
-stderr.
+configuration error (a non-finite --perturb-eigenvalue included), 3 named
+numerical failure: any NumericalFailure (NonConvergence, PositivityViolation,
+DegenerateGap, DecompositionMismatch, EntropyMismatch), reported as one
+"fk-thermo: <Name>: <message>" line on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 from pathlib import Path
 
@@ -31,17 +32,11 @@ from .gibbs import bin_density, histogram_density, rn_weights, simulate_sde, tv_
 from .grid import GridFunction, HarmonicSpec, function_from_csv, integrate
 from .mc import McConfig, mean_and_se
 from .serialize import write_csv, write_json
-from .spectral import (DegenerateGap, NonConvergence, PositivityViolation,
-                       build_generator, critical_point_count, gibbs_density,
-                       principal_eigenpair)
-from .thermo import (DecompositionMismatch, EntropyMismatch,
-                     admissible_from_eigen, admissible_from_spec,
-                     admissible_from_values, make_entropy_report,
-                     maximize_pressure, pressure_decomposition,
+from .spectral import (NumericalFailure, build_generator, critical_point_count,
+                       gibbs_density, principal_eigenpair)
+from .thermo import (admissible_from_eigen, admissible_from_values,
+                     entropy_report, maximize_pressure, pressure_decomposition,
                      relative_entropy)
-
-_NUMERICAL_FAILURES = (NonConvergence, PositivityViolation, DegenerateGap,
-                       DecompositionMismatch, EntropyMismatch)
 
 
 def _solve(cfg: RunConfig):
@@ -49,10 +44,6 @@ def _solve(cfg: RunConfig):
     V = cfg.build_potential(grid)
     solution = principal_eigenpair(build_generator(V))
     return grid, V, solution
-
-
-def _g_section_given(cfg: RunConfig) -> bool:
-    return any(key.startswith("g.") for key in cfg.raw)
 
 
 def cmd_eigen(cfg: RunConfig):
@@ -74,9 +65,8 @@ def cmd_eigen(cfg: RunConfig):
 def cmd_propagate(cfg: RunConfig):
     grid = cfg.build_grid()
     V = cfg.build_potential(grid)
-    if _g_section_given(cfg):
-        f = cfg.build_g(grid)
-    else:
+    f = cfg.build_g(grid)
+    if not f.values.any():  # a zero [g] starts from the constant 1
         f = GridFunction(grid, np.ones(grid.n))
     tables = {}
     report = {"method": cfg.method, "t": cfg.t, "dt": cfg.dt, "n": grid.n,
@@ -143,34 +133,23 @@ def cmd_simulate(cfg: RunConfig):
     return 0, report, tables, f"simulate: tv_distance={tv:.6g} paths={cfg.paths}"
 
 
-def _report_dict(report) -> dict:
-    return {
-        "entropy": report.entropy,
-        "mean_potential": report.mean_potential,
-        "pressure": report.pressure,
-        "gap": report.gap,
-        "lambda": report.lambda_ref,
-    }
-
-
 def cmd_entropy(cfg: RunConfig):
     grid, V, sol = _solve(cfg)
     if cfg.g_use == "doob":
         ad = admissible_from_eigen(sol, V)
     else:
         ad = admissible_from_values(cfg.build_g(grid))
-    report = make_entropy_report(ad, V, sol)
-    return 0, _report_dict(report), {}, (
-        f"entropy: H={report.entropy:.12g} pressure={report.pressure:.12g} "
-        f"lambda={report.lambda_ref:.12g}")
+    report = entropy_report(ad, V, sol)
+    return 0, report, {}, (
+        f"entropy: H={report['entropy']:.12g} pressure={report['pressure']:.12g} "
+        f"lambda={report['lambda']:.12g}")
 
 
 def cmd_maximize(cfg: RunConfig):
     grid, V, sol = _solve(cfg)
     result = maximize_pressure(V, K=cfg.K, lr=cfg.lr, iters=cfg.iters)
-    ad = admissible_from_spec(result.spec, grid)
-    report = make_entropy_report(ad, V, sol)
-    payload = {**_report_dict(report), "iterations": len(result.trace) - 1,
+    ad = admissible_from_values(result.spec.sample(grid))
+    payload = {**entropy_report(ad, V, sol), "iterations": len(result.trace) - 1,
                "stop": result.stop, "grad_norm": result.grad_norm}
     tables = {"trace.csv": (["iter", "value", "grad_norm"],
                             list(zip(*result.trace)))}
@@ -299,6 +278,9 @@ def main(argv=None) -> int:
 
     try:
         text = ""
+        perturb = getattr(args, "perturb_eigenvalue", 0.0)
+        if not math.isfinite(perturb):
+            raise ConfigError(f"--perturb-eigenvalue must be finite, got {perturb}")
         if args.config is not None:
             text = Path(args.config).read_text()
         cfg = parse_config(text, overrides=extra)
@@ -324,7 +306,7 @@ def main(argv=None) -> int:
         # precondition violations surfaced by the library are usage errors
         print(f"fk-thermo: {exc}", file=sys.stderr)
         return 2
-    except _NUMERICAL_FAILURES as exc:
+    except NumericalFailure as exc:
         print(f"fk-thermo: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     print(f"{summary} -> {report_path}")

@@ -93,14 +93,12 @@ class _RunConfigMethods:
 
 RunConfig = make_dataclass(
     "RunConfig",
-    [(_attribute(section, key), kind) for section, key, kind, _ in _SCHEMA]
-    + [("raw", dict)],
+    [(_attribute(section, key), kind) for section, key, kind, _ in _SCHEMA],
     bases=(_RunConfigMethods,),
     namespace={
         "__module__": __name__,
-        "__doc__": "Fully validated run configuration with defaults applied.\n\n"
-                   "One attribute per _SCHEMA row, plus raw: the entries given "
-                   "explicitly, as {'section.key': value}.",
+        "__doc__": "Fully validated run configuration with defaults applied: "
+                   "one attribute per _SCHEMA row.",
     },
 )
 
@@ -228,9 +226,7 @@ def _validate(entries: dict[tuple[str, str], object]) -> RunConfig:
 
     return RunConfig(
         **{_attribute(section, key): merged[(section, key)]
-           for section, key, _, _ in _SCHEMA},
-        raw={f"{s}.{k}": v for (s, k), v in entries.items()},
-    )
+           for section, key, _, _ in _SCHEMA})
 
 
 def parse_config(text: str, overrides: list[str] | None = None) -> RunConfig:

@@ -33,8 +33,6 @@ class PropagatorConfig:
     dt: float
 
     def __post_init__(self) -> None:
-        if not self.dt > 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
         step_count(self.t, self.dt)
 
     @property

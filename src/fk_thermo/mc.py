@@ -64,8 +64,11 @@ class McConfig:
 def step_count(T: float, dt: float) -> int:
     """round(T / dt), the step count of horizon T; it must be at least 1.
 
-    Raises ValueError unless a finite T / dt is within 1e-9 relative of it.
+    Raises ValueError unless dt > 0 and a finite T / dt is within 1e-9
+    relative of it.
     """
+    if not dt > 0:
+        raise ValueError(f"dt must be positive, got {dt}")
     steps = T / dt
     n_steps = int(round(steps)) if isfinite(steps) else 0
     if n_steps < 1 or abs(steps - n_steps) > 1e-9 * max(1.0, steps):

@@ -25,6 +25,7 @@ from .grid import GridFunction, PeriodicGrid, derivative, integrate
 __all__ = [
     "OperatorMatrix",
     "EigenSolution",
+    "NumericalFailure",
     "PositivityViolation",
     "DegenerateGap",
     "NonConvergence",
@@ -36,7 +37,11 @@ __all__ = [
 ]
 
 
-class PositivityViolation(RuntimeError):
+class NumericalFailure(RuntimeError):
+    """Base of every named numerical failure; the CLI exits 3 on any of them."""
+
+
+class PositivityViolation(NumericalFailure):
     """The computed principal eigenvector has a non-positive node.
 
     Perron theory forbids this for the operator class handled here, so it
@@ -44,11 +49,11 @@ class PositivityViolation(RuntimeError):
     """
 
 
-class DegenerateGap(RuntimeError):
+class DegenerateGap(NumericalFailure):
     """The two leading eigenvalues are numerically indistinguishable."""
 
 
-class NonConvergence(RuntimeError):
+class NonConvergence(NumericalFailure):
     """An iterative solver or the pressure ascent stopped before converging."""
 
 

@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from fk_thermo import (GridFunction, HarmonicSpec, McConfig, PropagatorConfig,
-                       admissible_from_eigen, admissible_from_spec,
-                       admissible_from_values, build_generator, carre_du_champ,
+                       admissible_from_eigen, admissible_from_values,
+                       build_generator, carre_du_champ,
                        check_selfadjoint, critical_point_count, derivative,
                        entropy_finite_T_mc, gibbs_density, integrate,
                        make_grid, maximize_pressure, normalized_semigroup,
@@ -99,7 +99,7 @@ def test_criterion_04_variational_principle():
                 assert residual <= 1e-8
             if index == 0:
                 # flat-drift identity: gap(0) equals eigenvalue - mean(V)
-                flat = admissible_from_spec(HarmonicSpec(), grid)
+                flat = admissible_from_values(HarmonicSpec().sample(grid))
                 gap0 = pressure_gap(flat, sol, reference=reference, V=V)
                 assert abs(gap0 - (sol.eigenvalue - integrate(V))) <= 1e-8
 

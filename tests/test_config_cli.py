@@ -12,6 +12,7 @@ from fk_thermo.cli import main, run_verify
 from fk_thermo.config import ConfigError, parse_config
 from fk_thermo.grid import HarmonicSpec
 from fk_thermo.serialize import write_csv, write_json
+from fk_thermo.spectral import NumericalFailure
 
 MINIMAL = """
 [grid]
@@ -268,6 +269,20 @@ class TestCliCommands:
         report = json.loads((out / "propagate.json").read_text())
         assert report["value"] > 2.0
 
+    @pytest.mark.parametrize("override", ["--g.use=spec", "--g.use=doob",
+                                          "--g.constant=0"])
+    def test_propagate_zero_g_section_starts_from_one(self, tmp_path, override):
+        # Which [g] keys are typed does not matter, only the function they give.
+        cfg = write_cfg(tmp_path, MINIMAL.replace("n = 256", "n = 128"))
+        outs = []
+        for name, extra in (("plain", []), ("given", [override])):
+            out = tmp_path / name
+            assert main(["propagate", "--config", cfg, f"--run.out={out}",
+                         *extra]) == 0
+            outs.append([(out / f).read_bytes()
+                         for f in ("propagate.json", "propagate.csv")])
+        assert outs[0] == outs[1]
+
     def test_simulate_outputs(self, tmp_path):
         cfg = write_cfg(tmp_path, MINIMAL + "\n[run]\npaths = 2000\nT = 0.5\n")
         out = tmp_path / "out"
@@ -426,6 +441,25 @@ class TestCliCommands:
         assert len(err) == 1
         assert err[0].startswith("fk-thermo: EntropyMismatch: ")
 
+    def test_positive_entropy_exits_3(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("fk_thermo.thermo.relative_entropy", lambda ad: 1e-6)
+        assert main(["entropy", "--grid.n=64", f"--run.out={tmp_path}"]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["fk-thermo: EntropyMismatch: entropy rate must be <= 0, "
+                       "got 1e-06"]
+
+    def test_any_numerical_failure_exits_3(self, tmp_path, capsys, monkeypatch):
+        class Unresolved(NumericalFailure):
+            pass
+
+        def failing(cfg):
+            raise Unresolved("grid too coarse")
+
+        monkeypatch.setitem(cli._COMMANDS, "eigen", failing)
+        assert main(["eigen", "--grid.n=64", f"--run.out={tmp_path}"]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "fk-thermo: Unresolved: grid too coarse"]
+
     def test_config_error_exit_code(self, tmp_path):
         cfg = write_cfg(tmp_path, "[grid]\nn = 255\n")
         assert main(["eigen", "--config", cfg]) == 2
@@ -552,6 +586,17 @@ class TestVerify:
         assert not by_name["pressure_decomposition"]["pass"]
         assert [c["name"] for c in by_name.values() if not c["pass"]] == [
             "pressure_decomposition"]
+
+    @pytest.mark.parametrize("fault", ["nan", "inf", "-inf"])
+    def test_non_finite_fault_is_a_usage_error(self, tmp_path, capsys, fault):
+        # Rejected before meta.json, not after the battery has run.
+        out = tmp_path / "out"
+        assert main(["verify", "--grid.n=128", "--run.paths=200",
+                     f"--run.out={out}", f"--perturb-eigenvalue={fault}"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("fk-thermo: --perturb-eigenvalue must be finite")
+        assert not out.exists()
 
     def test_cli_exit_codes(self, tmp_path):
         cfg = write_cfg(tmp_path, MINIMAL + "\n[run]\npaths = 1000\n")

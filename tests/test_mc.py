@@ -147,6 +147,12 @@ def test_step_count_shared_by_paths_and_propagation(T, dt, steps):
         PropagatorConfig(t=T, dt=dt)
 
 
+@pytest.mark.parametrize("dt", [0.0, -0.0, float("nan")])
+def test_step_count_rejects_non_positive_dt(dt):
+    with pytest.raises(ValueError, match="dt must be positive"):
+        mc.step_count(1.0, dt)
+
+
 def test_fixed_start_recorded_inside_unit_interval():
     # -1e-20 % 1.0 rounds to 1.0; the recorded start must wrap to 0.0
     grid = make_grid(64)

@@ -8,12 +8,12 @@ import pytest
 
 from fk_thermo import (AdmissibleDrift, DecompositionMismatch, DegenerateGap,
                        EntropyMismatch, GridFunction, HarmonicSpec, McConfig,
-                       NonConvergence,
+                       NonConvergence, NumericalFailure,
                        PositivityViolation, admissible_from_eigen,
-                       admissible_from_spec, admissible_from_values,
+                       admissible_from_values,
                        build_generator, carre_du_champ, derivative,
                        entropy_finite_T_mc, gibbs_density, integrate,
-                       make_entropy_report, make_grid, maximize_pressure,
+                       entropy_report, make_grid, maximize_pressure,
                        pressure_decomposition, pressure_gap,
                        pressure_value, principal_eigenpair, relative_entropy,
                        thermo)
@@ -40,7 +40,7 @@ def eig_cos1024(grid1024):
 
 class TestAdmissible:
     def test_flat_potential(self, grid512):
-        ad = admissible_from_spec(HarmonicSpec(), grid512)
+        ad = admissible_from_values(HarmonicSpec().sample(grid512))
         assert np.array_equal(ad.density.values, np.ones(grid512.n))
 
     def test_large_offset_does_not_overflow(self, grid512):
@@ -111,7 +111,8 @@ class TestCarreDuChamp:
 
 class TestRelativeEntropy:
     def test_zero_for_flat_potential(self, grid512):
-        assert relative_entropy(admissible_from_spec(HarmonicSpec(), grid512)) == 0.0
+        flat = admissible_from_values(HarmonicSpec().sample(grid512))
+        assert relative_entropy(flat) == 0.0
 
     def test_never_positive(self, grid512):
         rng = np.random.default_rng(96)
@@ -144,13 +145,13 @@ class TestRelativeEntropy:
 
 class TestEntropyFiniteTMc:
     def test_flat_potential_exact_zero(self, grid512):
-        ad = admissible_from_spec(HarmonicSpec(), grid512)
+        ad = admissible_from_values(HarmonicSpec().sample(grid512))
         est, se = entropy_finite_T_mc(ad, 2.0, McConfig(n_paths=200, dt=1e-3, seed=1))
         assert est == 0.0
         assert se == 0.0
 
     def test_horizon_precondition(self, grid512):
-        ad = admissible_from_spec(HarmonicSpec(), grid512)
+        ad = admissible_from_values(HarmonicSpec().sample(grid512))
         with pytest.raises(ValueError):
             entropy_finite_T_mc(ad, 0.5, McConfig(n_paths=10, dt=1e-3, seed=1))
 
@@ -185,7 +186,7 @@ class TestEntropyFiniteTMc:
 
 class TestPressure:
     def test_flat_drift_gives_mean_potential(self, vcos512):
-        ad = admissible_from_spec(HarmonicSpec(), vcos512.grid)
+        ad = admissible_from_values(HarmonicSpec().sample(vcos512.grid))
         assert pressure_value(ad, vcos512) == pytest.approx(integrate(vcos512),
                                                             abs=1e-12)
 
@@ -217,7 +218,7 @@ class TestPressure:
         # acceptance suite).
         V, sol = eig_cos1024
         reference = admissible_from_eigen(sol, V)
-        flat = admissible_from_spec(HarmonicSpec(), V.grid)
+        flat = admissible_from_values(HarmonicSpec().sample(V.grid))
         gap = pressure_gap(flat, sol, reference=reference, V=V)
         direct = 0.5 * integrate(reference.drift * reference.drift)
         assert gap == pytest.approx(direct, abs=1e-12)
@@ -286,14 +287,45 @@ class TestPressure:
             pressure_gap(ad, eig_cos256, reference=reference, V=bumped)
         assert issubclass(DecompositionMismatch, RuntimeError)
 
+    def test_nan_eigenvalue_raises_decomposition_mismatch(self, vcos256,
+                                                          eig_cos256):
+        # max(0.0, nan, nan) is 0.0, so a NaN offset used to pass as exact.
+        reference = admissible_from_eigen(eig_cos256, vcos256)
+        x = vcos256.grid.nodes
+        ad = admissible_from_values(GridFunction(vcos256.grid,
+                                                 0.5 * np.cos(2 * np.pi * x)))
+        nan_sol = dataclasses.replace(eig_cos256, eigenvalue=float("nan"))
+        _, (residual,), _ = pressure_decomposition([ad], reference, vcos256,
+                                                   nan_sol)
+        assert np.isnan(residual)
+        with pytest.raises(DecompositionMismatch, match="off by nan"):
+            pressure_gap(ad, nan_sol, reference=reference, V=vcos256)
+
+    @pytest.mark.parametrize("error", [NonConvergence, PositivityViolation,
+                                       DegenerateGap, DecompositionMismatch,
+                                       EntropyMismatch])
+    def test_named_failures_share_one_base(self, error):
+        assert issubclass(error, NumericalFailure)
+        assert issubclass(error, RuntimeError)
+
     def test_entropy_report_fields(self, vcos512, eig_cos512):
         ad = admissible_from_eigen(eig_cos512, vcos512)
-        report = make_entropy_report(ad, vcos512, eig_cos512)
-        assert report.entropy <= 1e-10
-        assert report.gap >= -1e-8
-        assert report.pressure + report.gap == pytest.approx(report.lambda_ref,
-                                                             abs=1e-9)
-        assert report.lambda_ref == eig_cos512.eigenvalue
+        report = entropy_report(ad, vcos512, eig_cos512)
+        assert report["entropy"] <= 1e-10
+        assert report["gap"] >= -1e-8
+        assert report["pressure"] + report["gap"] == pytest.approx(
+            report["lambda"], abs=1e-9)
+        assert report["lambda"] == eig_cos512.eigenvalue
+
+
+    @pytest.mark.parametrize("shift", [-1.0, float("nan")])
+    def test_entropy_report_rejects_pressure_above_eigenvalue(
+            self, vcos512, eig_cos512, shift):
+        ad = admissible_from_eigen(eig_cos512, vcos512)
+        low = dataclasses.replace(eig_cos512,
+                                  eigenvalue=eig_cos512.eigenvalue + shift)
+        with pytest.raises(DecompositionMismatch, match="pressure exceeds"):
+            entropy_report(ad, vcos512, low)
 
 
 class TestMaximizePressure:
