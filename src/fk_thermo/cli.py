@@ -273,7 +273,8 @@ def main(argv=None) -> int:
         if name == "verify":
             p.add_argument("--perturb-eigenvalue", type=float, default=0.0,
                            help="fault injection: offset the eigenvalue used "
-                                "by the pressure-decomposition check")
+                                "by the pressure-decomposition check; give a "
+                                "negative offset as --perturb-eigenvalue=-1e-6")
     args, extra = parser.parse_known_args(argv)
 
     try:

@@ -5,9 +5,9 @@ where D is the periodic second-difference stencil (1, -2, 1)/h^2 with
 wrap-around corners.  A is stored as a sparse matrix with 3n nonzeros and is
 exactly symmetric.  The top two eigenvalues come from shift-invert Lanczos
 (ARPACK) with the shift above the Gershgorin bound and the inverse applied by
-a sparse LU, and the Perron eigenvector is sharpened by inverse iteration
-with a sparse LU until the residual sits at roundoff level.  Every step costs
-O(n) time and memory.
+a sparse LU.  Inverse iteration on an unpivoted LU of the M-matrix shift - A
+then sweeps until no node of the Perron vector moves, which keeps its tail
+accurate node by node.  Every step costs O(n) time and memory.
 """
 
 from __future__ import annotations
@@ -139,17 +139,27 @@ class EigenSolution:
     spectral_gap: float
 
 
+_SWEEP_TOL, _MAX_SWEEPS = 1e-12, 50
+
+
 def inverse_iteration(solve: Callable[[np.ndarray], np.ndarray],
                       start: np.ndarray) -> np.ndarray:
-    """Unit vector after three normalized applications of a shifted solve.
+    """Unit vector from normalized applications of a shifted solve.
 
-    solve(b) returns (shift - A)^{-1} b or its negative; the result is signed
-    to have a nonnegative mean, so a Perron vector comes out positive.
+    solve(b) returns (shift - A)^{-1} b or its negative.  Each sweep is signed
+    like the one before; they stop once no node moves by more than _SWEEP_TOL
+    of its value, or silently after _MAX_SWEEPS.  The result has a nonnegative
+    mean, so a Perron vector comes out positive.
     """
     v = start / np.linalg.norm(start)
-    for _ in range(3):
-        v = solve(v)
+    for _ in range(_MAX_SWEEPS):
+        prev = v
+        v = solve(prev)
         v /= np.linalg.norm(v)
+        if v @ prev < 0:
+            v = -v
+        if np.all(np.abs(v - prev) <= _SWEEP_TOL * np.abs(v)):
+            break
     return -v if v.mean() < 0 else v
 
 
@@ -185,7 +195,9 @@ def principal_eigenpair(op: OperatorMatrix) -> EigenSolution:
             f"spectral gap {gap:.3e} is not resolvably positive"
         )
     shift = float(first) + 1e-8 * max(1.0, abs(float(first)))
-    lu = splu((mat - shift * sp.eye_array(grid.n)).tocsc())
+    # shift I - A is a nonsingular M-matrix: it factors stably unpivoted.
+    lu = splu((mat - shift * sp.eye_array(grid.n)).tocsc(),
+              diag_pivot_thresh=0.0)
     vec = inverse_iteration(lu.solve, np.ones(grid.n))
     if np.any(vec <= 0.0):
         raise PositivityViolation(

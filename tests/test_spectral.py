@@ -1,3 +1,5 @@
+import hypothesis
+import hypothesis.strategies as st
 import numpy as np
 import pytest
 from scipy.sparse.linalg import ArpackNoConvergence
@@ -7,7 +9,7 @@ from fk_thermo import (DegenerateGap, GridFunction, HarmonicSpec,
                        critical_point_count, derivative, eigen_probability,
                        gibbs_density, integrate, make_grid,
                        principal_eigenpair, spectral)
-from fk_thermo.spectral import OperatorMatrix, laplacian_half
+from fk_thermo.spectral import OperatorMatrix, laplacian_half, roundoff_bound
 
 from conftest import random_harmonic
 from oracles import fd_operator, fd_top_eigenvalue, richardson_eigenvalue
@@ -143,6 +145,46 @@ class TestPrincipalEigenpair:
         F = sol.eigenfunction.values
         residual = np.max(np.abs(op.matrix @ F - sol.eigenvalue * F))
         assert residual / np.max(np.abs(F)) <= 1e-9
+
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True)
+    @hypothesis.given(n=st.sampled_from([2048, 4096]),
+                      coefficients=st.lists(st.tuples(st.floats(-5.0, 5.0),
+                                                      st.floats(-5.0, 5.0)),
+                                            min_size=1, max_size=4))
+    @hypothesis.example(n=2048,
+                        coefficients=[(1.4525101445426223, 3.7669513610591183)])
+    def test_residual_at_large_n(self, n, coefficients):
+        # The guard is 6 eps n^2 here; sweeps on an unpivoted LU of the
+        # M-matrix leave a residual of about one matrix-vector product.
+        grid = make_grid(n)
+        V = HarmonicSpec(harmonics=[(k, a, b) for k, (a, b)
+                                    in enumerate(coefficients, 1)]).sample(grid)
+        op = build_generator(V)
+        sol = principal_eigenpair(op)
+        F = sol.eigenfunction.values
+        residual = np.max(np.abs(op.matrix @ F - sol.eigenvalue * F))
+        assert residual / np.max(np.abs(F)) <= roundoff_bound(n)
+
+    def test_tail_accurate_at_large_amplitude(self):
+        # Solves of a positive vector by the unpivoted factors add positive
+        # terms only, so the tail is accurate node by node (about 1.8e-87).
+        grid = make_grid(2048)
+        V = GridFunction(grid, 1e5 * np.cos(2 * np.pi * grid.nodes))
+        F = principal_eigenpair(build_generator(V)).eigenfunction.values
+        assert F.min() / F.max() < 1e-80
+
+    def test_unsettled_sweeps_stop_at_the_cap(self):
+        # A rotation never settles: every sweep moves the nodes, and the
+        # iteration hands back its last vector without raising.
+        calls = []
+
+        def rotate(b):
+            calls.append(1)
+            return np.roll(b, 1)
+
+        v = spectral.inverse_iteration(rotate, np.arange(1.0, 65.0))
+        assert len(calls) == spectral._MAX_SWEEPS
+        assert v.shape == (64,) and np.linalg.norm(v) == pytest.approx(1.0)
 
     def test_degenerate_gap_raises(self, grid512):
         flat = OperatorMatrix(grid512, np.zeros((grid512.n, grid512.n)))

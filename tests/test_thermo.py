@@ -503,15 +503,22 @@ class TestEigenConsistentDrift:
         with pytest.raises(NonConvergence, match="companion residual"):
             admissible_from_eigen(eig_cos512, vcos512)
 
-    @pytest.mark.parametrize("n", [512, 2048])
-    def test_strong_potential_companion(self, n):
+    @pytest.mark.parametrize("n, amp, expected, tol", [
+        pytest.param(512, 5000.0, 4779.096522, 1e-6, id="512"),
+        pytest.param(2048, 5000.0, 4779.096522, 1e-6, id="2048"),
+        pytest.param(2048, 1e4, 9687.079338, 1e-5, id="2048-1e4"),
+        pytest.param(2048, 3e4, 29457.09671, 1e-5, id="2048-3e4"),
+        pytest.param(2048, 1e5, 99007.77641, 1e-5, id="2048-1e5"),
+    ])
+    def test_strong_potential_companion(self, n, amp, expected, tol):
         # min F is about 3e-19 at n=512, below any relative tolerance on an
-        # eigenvector; the log-domain solve never forms one.
+        # eigenvector; the log-domain solve never forms one.  From amp = 1e4
+        # on, the seed log F needs the eigenvector's tail node by node.
         grid = make_grid(n)
-        V = GridFunction(grid, 5000.0 * np.cos(2 * np.pi * grid.nodes))
+        V = GridFunction(grid, amp * np.cos(2 * np.pi * grid.nodes))
         sol = principal_eigenpair(build_generator(V))
         ad = admissible_from_eigen(sol, V)
-        assert abs(pressure_value(ad, V) - 4779.096522) <= 1e-6
+        assert abs(pressure_value(ad, V) - expected) <= tol
 
 
 class TestCompanionProperty:
