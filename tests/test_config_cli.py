@@ -441,6 +441,23 @@ class TestCliCommands:
         assert len(err) == 1
         assert err[0].startswith("fk-thermo: EntropyMismatch: ")
 
+    @pytest.mark.parametrize("n, code", [(4096, 0), (2048, 3)])
+    def test_wide_doob_drift_resolved_or_named(self, tmp_path, capsys, n, code):
+        # V = 3e5 cos 2 pi x: the eigen drift spans about 348, so its density
+        # is zero far from the well.  4096 nodes resolve e^{2g}; 2048 do not,
+        # and the entropy cross-check names that.
+        assert main(["entropy", "--g.use=doob", f"--grid.n={n}",
+                     "--potential.harmonics=[[1,3e5,0]]",
+                     f"--run.out={tmp_path}"]) == code
+        err = capsys.readouterr().err.splitlines()
+        if code == 0:
+            assert err == []
+            report = json.loads((tmp_path / "entropy.json").read_text())
+            assert report["pressure"] == pytest.approx(298280.5134241, abs=1e-5)
+        else:
+            assert len(err) == 1
+            assert err[0].startswith("fk-thermo: EntropyMismatch: ")
+
     def test_positive_entropy_exits_3(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr("fk_thermo.thermo.relative_entropy", lambda ad: 1e-6)
         assert main(["entropy", "--grid.n=64", f"--run.out={tmp_path}"]) == 3

@@ -5,6 +5,7 @@ import hypothesis
 import hypothesis.strategies as st
 import numpy as np
 import pytest
+from scipy.special import ive
 
 from fk_thermo import (AdmissibleDrift, DecompositionMismatch, DegenerateGap,
                        EntropyMismatch, GridFunction, HarmonicSpec, McConfig,
@@ -69,10 +70,22 @@ class TestAdmissible:
         assert relative_entropy(ad) == pytest.approx(relative_entropy(ad_shifted),
                                                      abs=1e-12)
 
-    def test_overflow_guard(self, grid512):
-        g = GridFunction(grid512, 400.0 * np.cos(2 * np.pi * grid512.nodes))
-        with pytest.raises(ValueError, match="300"):
-            admissible_from_values(g)
+    @pytest.mark.parametrize("amp, n", [(200.0, 512), (200.0, 4096),
+                                        (400.0, 512), (400.0, 2048),
+                                        (1000.0, 4096)])
+    def test_wide_drift_underflows_to_zero_mass(self, amp, n):
+        # g = A cos 2 pi x spans 2A, so e^{2(g - max g)} reaches e^{-4A}, below
+        # the smallest subnormal: the far nodes carry zero mass, and the
+        # entropy rate is still -pi^2 A I1(2A)/I0(2A).
+        grid = make_grid(n)
+        ad = admissible_from_values(
+            GridFunction(grid, amp * np.cos(2 * np.pi * grid.nodes)))
+        rho = ad.density.values
+        assert np.all(rho >= 0)
+        assert np.any(rho == 0)
+        assert integrate(ad.density) == pytest.approx(1.0, abs=1e-12)
+        exact = -np.pi**2 * amp * ive(1, 2 * amp) / ive(0, 2 * amp)
+        assert relative_entropy(ad) == pytest.approx(exact, rel=1e-12)
 
     def test_derivatives_match_direct_differentiation(self, grid512):
         rng = np.random.default_rng(92)
@@ -343,14 +356,26 @@ class TestMaximizePressure:
         assert all(b >= a for a, b in zip(values, values[1:]))
 
     def test_over_span_trial_steps_are_rejected(self, grid512):
-        # lr * grad spans 400 at the start; the line search must shrink it
-        # instead of letting admissible_from_values raise.
+        # lr * grad spans 400 at the start, and 512 nodes do not resolve its
+        # e^{2g}: the line search must shrink that unresolved trial step
+        # instead of letting the entropy cross-check raise.
         V = HarmonicSpec(harmonics=[(1, 1000.0, 0.0)]).sample(grid512)
         result = maximize_pressure(V, K=8, lr=0.2, iters=500)
+        assert result.stop == "flat"
         values = [row[1] for row in result.trace]
         assert all(b >= a for a, b in zip(values, values[1:]))
         lam = principal_eigenpair(build_generator(V)).eigenvalue
         assert result.value <= lam + 1e-8
+
+    def test_unresolved_trial_steps_are_rejected(self, grid512):
+        # Some trial drifts for V = 300 cos 2 pi x have an e^{2g} that 512
+        # nodes do not resolve, so their entropy forms disagree; the ascent
+        # shrinks those steps and still climbs to within 1e-2 of lambda.
+        V = HarmonicSpec(harmonics=[(1, 300.0, 0.0)]).sample(grid512)
+        result = maximize_pressure(V, K=8, lr=0.2, iters=500)
+        assert result.stop == "flat"
+        lam = principal_eigenpair(build_generator(V)).eigenvalue
+        assert lam - 1e-2 < result.value <= lam + 1e-8
 
     @pytest.mark.parametrize("n", [64, 256, 4096])
     def test_variation_matches_central_differences(self, n):
@@ -509,11 +534,14 @@ class TestEigenConsistentDrift:
         pytest.param(2048, 1e4, 9687.079338, 1e-5, id="2048-1e4"),
         pytest.param(2048, 3e4, 29457.09671, 1e-5, id="2048-3e4"),
         pytest.param(2048, 1e5, 99007.77641, 1e-5, id="2048-1e5"),
+        pytest.param(4096, 3e5, 298280.5134241, 1e-5, id="4096-3e5"),
+        pytest.param(8192, 1e6, 996859.641532, 1e-5, id="8192-1e6"),
     ])
     def test_strong_potential_companion(self, n, amp, expected, tol):
         # min F is about 3e-19 at n=512, below any relative tolerance on an
         # eigenvector; the log-domain solve never forms one.  From amp = 1e4
-        # on, the seed log F needs the eigenvector's tail node by node.
+        # on, the seed log F needs the eigenvector's tail node by node.  From
+        # 3e5 on, the density underflows to zero far from the well.
         grid = make_grid(n)
         V = GridFunction(grid, amp * np.cos(2 * np.pi * grid.nodes))
         sol = principal_eigenpair(build_generator(V))
