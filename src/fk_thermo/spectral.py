@@ -13,7 +13,7 @@ accurate node by node.  Every step costs O(n) time and memory.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
@@ -137,6 +137,11 @@ class EigenSolution:
     normalization: float
     drift: GridFunction
     spectral_gap: float
+
+    @cached_property
+    def excess(self) -> float:
+        """stencil_excess of F: the high end of pressure_decomposition's bracket."""
+        return stencil_excess(self.eigenfunction.grid, self.eigenfunction.values)
 
 
 _SWEEP_TOL, _MAX_SWEEPS = 1e-12, 50

@@ -22,6 +22,7 @@ between the two eigenvalues by the min-max theorem, at a roundoff tolerance.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -87,6 +88,11 @@ class AdmissibleDrift:
         total = float(self.density.grid.h * rho.sum())
         if abs(total - 1.0) > 1e-10:
             raise ValueError(f"invariant density integrates to {total}, not 1")
+
+    @cached_property
+    def excess(self) -> float:
+        """stencil_excess of e^g: the low end of pressure_decomposition's bracket."""
+        return stencil_excess(self.density.grid, np.sqrt(self.density.values))
 
 
 # Caps of the companion solve: Newton steps, and GMRES restart cycles per
@@ -221,8 +227,7 @@ def pressure_decomposition(
     roundoff_bound(n) max(1, |P(g*)|), which does not depend on lambda.
     """
     grid = V.grid
-    low = stencil_excess(grid, np.sqrt(reference.density.values))
-    high = stencil_excess(grid, solution.eigenfunction.values)
+    low, high = reference.excess, solution.excess
     tolerance = roundoff_bound(grid.n) * max(1.0, abs(pressure_value(reference, V)))
     gaps, residuals = [], []
     for ad in ads:

@@ -3,6 +3,8 @@ import re
 import warnings
 from pathlib import Path
 
+import hypothesis
+import hypothesis.strategies as st
 import numpy as np
 import pytest
 from scipy.sparse.linalg import splu
@@ -11,7 +13,7 @@ from fk_thermo import __version__, cli
 from fk_thermo.cli import main, run_verify
 from fk_thermo.config import ConfigError, parse_config
 from fk_thermo.grid import HarmonicSpec
-from fk_thermo.serialize import write_csv, write_json
+from fk_thermo.serialize import _BLOCK_ROWS, format_number, write_csv, write_json
 from fk_thermo.spectral import NumericalFailure
 
 MINIMAL = """
@@ -514,7 +516,67 @@ class TestCliCommands:
         assert err[0].startswith("fk-thermo: NonConvergence: ")
 
 
+def oracle_csv(header, columns) -> bytes:
+    """The cell-by-cell writer that write_csv must reproduce byte for byte."""
+    rows = (",".join(format_number(v) for v in row) for row in zip(*columns))
+    return "\n".join([",".join(header), *rows, ""]).encode()
+
+
+SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e308, -1e308, 1e15,
+                  1e16, 123456789012345678.0, 1 / 3, -1 / 3, 0.1]
+
+
+def _table(length: int):
+    rng = np.random.default_rng(length)
+    return (["path_id", "step", "x", "flag"],
+            [np.arange(length) // 7, np.arange(length) % 7 - 3,
+             rng.standard_normal(length) * 10.0 ** rng.integers(-300, 300, length),
+             rng.random(length) < 0.5])
+
+
 class TestSerialize:
+    @pytest.mark.parametrize("header, columns", [
+        (["v", "w"], [np.array(SPECIAL_FLOATS), -np.array(SPECIAL_FLOATS)]),
+        (["v"], [np.array([0.1, 1 / 3, -2.5e-40, 3.4e38, 1.4e-45], dtype=np.float32)]),
+        (["i"], [np.array([0, -1, 7, -2**62, 2**62, 2**63 - 1, -2**63], dtype=np.int64)]),
+        (["u"], [np.array([0, 1, 2**63, 2**64 - 1], dtype=np.uint64)]),
+        (["b", "x"], [np.array([True, False, True]), np.array([0.5, -0.0, 2.0])]),
+        # Shaped like maximize's trace: iteration ints, value and gradient floats.
+        (["iter", "value", "grad_norm"],
+         [(0, 1, 2), (0.25, np.float64(1 / 3), 1e-300), [1.0, 2, np.float32(0.1)]]),
+        (["iter", "value"], [[0, 1, True], [np.int64(5), 0.5, -0.0]]),
+    ], ids=["float64", "float32", "int64", "uint64", "bool", "trace", "lists"])
+    def test_csv_bytes_match_oracle(self, tmp_path, header, columns):
+        path = tmp_path / "table.csv"
+        write_csv(path, header, columns)
+        assert path.read_bytes() == oracle_csv(header, columns)
+
+    @pytest.mark.parametrize("length", [0, 1, _BLOCK_ROWS - 1, _BLOCK_ROWS,
+                                        _BLOCK_ROWS + 1, 3 * _BLOCK_ROWS + 5])
+    def test_csv_blocks_match_oracle(self, tmp_path, length):
+        header, columns = _table(length)
+        path = tmp_path / "table.csv"
+        write_csv(path, header, columns)
+        assert path.read_bytes() == oracle_csv(header, columns)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("row", [0, -1, _BLOCK_ROWS + 3])
+    def test_non_finite_array_leaves_no_file(self, tmp_path, bad, row):
+        header, columns = _table(2 * _BLOCK_ROWS)
+        columns[2][row] = bad
+        path = tmp_path / "table.csv"
+        with pytest.raises(ValueError, match="non-finite"):
+            write_csv(path, header, columns)
+        assert not path.exists()
+
+    @hypothesis.settings(max_examples=300, deadline=None,
+                         suppress_health_check=[hypothesis.HealthCheck.function_scoped_fixture])
+    @hypothesis.given(v=st.floats(allow_nan=False, allow_infinity=False))
+    def test_fast_cell_matches_format_number(self, tmp_path, v):
+        path = tmp_path / "cell.csv"
+        write_csv(path, ["v"], [np.array([v])])
+        assert path.read_text() == f"v\n{format_number(v)}\n"
+
     def test_unserializable_json_leaves_no_file(self, tmp_path):
         path = tmp_path / "report.json"
         with pytest.raises(ValueError, match="non-finite"):
