@@ -16,9 +16,9 @@ from .spectral import (DegenerateGap, EigenSolution, NumericalFailure,
                        OperatorMatrix, PositivityViolation, build_generator,
                        critical_point_count, eigen_probability, gibbs_density,
                        principal_eigenpair)
-from .feynman_kac import (PropagatorConfig, check_selfadjoint, propagate_mc,
-                          propagate_pde)
-from .mc import McConfig, PathEnsemble, simulate_paths
+from .feynman_kac import (PropagatorConfig, WeightOverflow, check_selfadjoint,
+                          propagate_mc, propagate_pde)
+from .mc import McConfig, PathEnsemble, WorkerFailure, simulate_paths
 from .gibbs import (generator_apply, invariance_residual, normalized_semigroup,
                     rn_weights, rn_weights_admissible, simulate_sde,
                     tv_distance)
@@ -36,8 +36,9 @@ __all__ = [
     "PositivityViolation",
     "build_generator", "critical_point_count", "eigen_probability",
     "gibbs_density", "principal_eigenpair",
-    "PropagatorConfig", "check_selfadjoint", "propagate_mc", "propagate_pde",
-    "McConfig", "PathEnsemble", "simulate_paths",
+    "PropagatorConfig", "WeightOverflow", "check_selfadjoint", "propagate_mc",
+    "propagate_pde",
+    "McConfig", "PathEnsemble", "WorkerFailure", "simulate_paths",
     "generator_apply", "invariance_residual", "normalized_semigroup",
     "rn_weights", "rn_weights_admissible", "simulate_sde", "tv_distance",
     "AdmissibleDrift", "DecompositionMismatch", "EntropyMismatch",

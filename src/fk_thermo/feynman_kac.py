@@ -12,6 +12,7 @@ is what the verification suite leans on.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isfinite
 
 import numpy as np
 import scipy.sparse as sp
@@ -19,10 +20,14 @@ from scipy.sparse.linalg import splu
 
 from .grid import GridFunction, integrate
 from .mc import McConfig, mean_and_se, simulate_paths, step_count
-from .spectral import build_generator
+from .spectral import NumericalFailure, build_generator
 
 __all__ = ["PropagatorConfig", "propagate_pde", "propagate_pde_many", "propagate_mc",
-           "check_selfadjoint"]
+           "check_selfadjoint", "WeightOverflow"]
+
+
+class WeightOverflow(NumericalFailure):
+    """A Feynman-Kac estimate or its standard error is not finite."""
 
 
 @dataclass(frozen=True)
@@ -80,14 +85,22 @@ def propagate_mc(V: GridFunction, f: GridFunction, x: float, cfg: McConfig,
 
     Runs driftless Euler paths from x, weighs each by the exponential of the
     left-endpoint Riemann sum of V along it, and averages the weighted
-    terminal values of f.  Returns the sample mean and its standard error.
+    terminal values of f.  Returns the sample mean and its standard error;
+    raises WeightOverflow if either is not finite.
     """
     if V.grid != f.grid:
         raise ValueError("potential and test function on different grids")
     ens = simulate_paths(V.grid, None, x, t, cfg, potential=V,
                          record_stride=None)
-    weights = np.exp(ens.potential_integrals)
-    return mean_and_se(weights * f.interp(ens.positions[:, -1]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        weights = np.exp(ens.potential_integrals)
+        estimate, std_error = mean_and_se(weights * f.interp(ens.positions[:, -1]))
+    if not (isfinite(estimate) and isfinite(std_error)):
+        raise WeightOverflow(
+            f"estimate {estimate}, standard error {std_error}; the largest "
+            f"potential integral is {ens.potential_integrals.max():.6g} (exp "
+            f"overflows above 709.78, its square above 354.89)")
+    return estimate, std_error
 
 
 def check_selfadjoint(V: GridFunction, f: GridFunction, g: GridFunction,

@@ -21,12 +21,29 @@ Python floats over the lookup's own tables (the grid's knots and each
 GridFunction's cached table and slopes).  That walk makes the same IEEE
 operations in the same order as the vectorized step, so it changes the time
 a narrow run takes and not its bits.
+
+The paths split into contiguous ranges, one per usable CPU
+(os.sched_getaffinity), while every range keeps at least _MIN_RANGE_STEPS
+(2**17) path-steps.  The parent forks a process for each range but the
+first, runs the first itself and reaps every child; each process runs the
+same block loop over its range and writes its rows of positions and
+potential integrals in place, in anonymous shared memory.  A path's numbers
+depend on (seed, index) alone, so the ensemble has the serial run's bits.
+The run stays in one process where the platform has no
+os.sched_getaffinity, on one usable CPU, below the threshold, or while
+another Python thread is alive.
 """
 
 from __future__ import annotations
 
+import mmap
+import os
+import signal
+import sys
+import threading
+import traceback
 from dataclasses import dataclass
-from math import floor, isfinite
+from math import floor, isfinite, prod
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -34,7 +51,7 @@ from numpy.random.bit_generator import ISeedSequence
 from .grid import GridFunction, PeriodicGrid, periodic_reader, wrap
 
 __all__ = ["McConfig", "PathEnsemble", "simulate_paths", "sample_from_density",
-           "step_count", "mean_and_se"]
+           "step_count", "mean_and_se", "WorkerFailure"]
 
 _MAX_DOUBLES = 300_000_000  # ~2.4 GB guard: recorded positions plus increments
 _CHUNK_DOUBLES = 1 << 21  # 16 MiB increment buffer per block of paths
@@ -42,6 +59,7 @@ _BLOCK_PATHS = 20_000  # paths stepped together
 _SCALAR_PATHS = 40  # narrower blocks step path by path on Python floats
 _WINDOW_STEPS = 4096  # most steps drawn at once: the scalar walk's window
 _WORD = 2**64 - 1  # mask of one 64-bit word of a Philox key or counter
+_MIN_RANGE_STEPS = 2**17  # fewest path-steps worth a forked process (~3 ms)
 
 
 @dataclass(frozen=True)
@@ -108,6 +126,90 @@ class _PhiloxKey(ISeedSequence):
         """
         counter = np.array([0, 0, index & _WORD, index >> 64], dtype=np.uint64)
         return np.random.Generator(np.random.Philox(self, counter=counter))
+
+
+class WorkerFailure(RuntimeError):
+    """A forked process ended without finishing its range of paths.
+
+    failures lists (first path, end path, wait status) for each such range.
+    """
+
+    def __init__(self, failures: list[tuple[int, int, int]]) -> None:
+        self.failures = failures
+        super().__init__("; ".join(
+            f"paths [{lo}, {hi}) ended with wait status {status} "
+            f"(exit code {os.waitstatus_to_exitcode(status)})"
+            for lo, hi, status in failures))
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on; 1 where the platform cannot say."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return 1
+
+
+def _process_count(n_paths: int, widest: int, n_steps: int) -> int:
+    """Processes to split n_paths paths of n_steps steps over.
+
+    One per usable CPU while every range keeps _MIN_RANGE_STEPS path-steps,
+    never more than widest, the increment buffer's rows, of which each range
+    takes its own; and one while another Python thread is alive: a fork
+    copies only the calling thread, and a lock another holds stays held in
+    the child.
+    """
+    if threading.active_count() > 1:
+        return 1
+    count = min(_usable_cpus(), widest)
+    while count > 1 and (n_paths // count) * n_steps < _MIN_RANGE_STEPS:
+        count -= 1
+    return count
+
+
+def _shared_zeros(shape) -> np.ndarray:
+    """Zeroed float64 array in anonymous shared memory, written in place by
+    every process forked after it is made."""
+    memory = mmap.mmap(-1, 8 * prod(shape))
+    return np.frombuffer(memory, dtype=np.float64).reshape(shape)
+
+
+def _run_ranges(walk, ranges: list[tuple]) -> None:
+    """walk(*ranges[0]) here and each later range in a forked child.
+
+    The parent reaps every child with waitpid before it returns or raises.
+    If its own range raises, it kills the children and re-raises; if a
+    child ended otherwise than by exit code 0, it raises WorkerFailure.
+    A child never returns into the caller's code: it leaves by os._exit,
+    printing its traceback first if its range raised.
+    """
+    children = {}
+    try:
+        for first, last, *rest in ranges[1:]:
+            pid = os.fork()
+            if pid == 0:
+                status = 1
+                try:
+                    walk(first, last, *rest)
+                    status = 0
+                except BaseException:
+                    traceback.print_exc()
+                finally:
+                    try:
+                        sys.stderr.flush()
+                    finally:
+                        os._exit(status)
+            children[pid] = (first, last)
+        walk(*ranges[0])
+    except BaseException:
+        for pid in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        statuses = {pid: os.waitpid(pid, 0)[1] for pid in children}
+    failures = [(*children[pid], status) for pid, status in statuses.items() if status]
+    if failures:
+        raise WorkerFailure(failures)
 
 
 @dataclass(frozen=True)
@@ -243,9 +345,16 @@ def simulate_paths(
     lookup both share.  A block narrower than _SCALAR_PATHS (40, where the
     two kernels' times cross at n=512, dt=1e-3) walks each path through
     each chunk on Python floats with the same operations in the same order,
-    and writes the chunk's recorded positions into the path's row.  The
-    bits are the same every way, so the ensemble depends on (seed, path
-    index) alone, not on the block or chunk size.
+    and writes the chunk's recorded positions into the path's row.
+
+    With several usable CPUs and at least _MIN_RANGE_STEPS (2**17)
+    path-steps per range, contiguous path ranges run in forked processes,
+    each on its own rows of the one increment buffer allocated before the
+    fork, so the guard still counts all increment memory; see the module
+    docstring for when the run stays serial.  A range that fails in a child
+    raises WorkerFailure with its paths and wait status; no child outlives
+    the call.  The bits are the same every way, so the ensemble depends on
+    (seed, path index) alone, not on the block, chunk or process count.
     """
     n_steps = step_count(T, cfg.dt)
     stride = n_steps if record_stride is None else int(record_stride)
@@ -270,57 +379,70 @@ def simulate_paths(
     fields = [f for f in (potential, drift) if f is not None]
     read = periodic_reader(grid, *fields)
 
-    positions = np.empty((cfg.n_paths, n_rec))
-    integrals = np.zeros(cfg.n_paths) if potential is not None else None
+    positions = _shared_zeros((cfg.n_paths, n_rec))
+    integrals = _shared_zeros((cfg.n_paths,)) if potential is not None else None
     sqrt_dt = np.sqrt(cfg.dt)
     normals = np.empty((widest, chunk))
     key = _PhiloxKey(cfg.seed)
 
-    for lo in range(0, cfg.n_paths, _BLOCK_PATHS):
-        hi = min(lo + _BLOCK_PATHS, cfg.n_paths)
-        nb = hi - lo
-        gens = [key.stream(lo + j) for j in range(nb)]
-        uniforms = np.array([gen.random() for gen in gens])
-        if isinstance(start, GridFunction):
-            x = sample_from_density(start, uniforms)
-        else:
-            x = wrap(np.full(nb, float(start)))
-        positions[lo:hi, 0] = x
-        acc = np.zeros(nb) if integrals is not None else None
-        narrow = nb < _SCALAR_PATHS
-        if narrow:  # the scalar walk carries states and tables as Python floats
-            x, acc = x.tolist(), [0.0] * nb
-            scalar_tables = (grid._knots.tolist(), *(
-                None if f is None else tuple(a.tolist() for a in f._table)
-                for f in (drift, potential)))
-        col = 1
-        for k0 in range(0, n_steps, chunk):
-            width = min(chunk, n_steps - k0)
-            for j, gen in enumerate(gens):
-                gen.standard_normal(out=normals[j, :width])
-            increments = normals[:nb, :width]
-            increments *= sqrt_dt
-            if narrow:
-                first = k0 // stride + 1
-                for j in range(nb):
-                    x[j], acc[j], recorded = _scalar_window(
-                        x[j], acc[j], increments[j].tolist(),
-                        stride - k0 % stride, stride, cfg.dt, scalar_tables)
-                    positions[lo + j, first:first + len(recorded)] = recorded
-                continue
-            for k in range(width):
-                values = read(x)
-                if acc is not None:
-                    acc += values[0] * cfg.dt
-                step = increments[:, k]
-                if drift is not None:
-                    step = step + values[-1] * cfg.dt
-                x = wrap(x + step)
-                if (k0 + k + 1) % stride == 0:
-                    positions[lo:hi, col] = x
-                    col += 1
-        if integrals is not None:
-            integrals[lo:hi] = acc
+    def walk(first: int, last: int, row: int, block: int) -> None:
+        """Step paths [first, last) in blocks of block paths, drawing each
+        block's increments into normals[row:row + block]."""
+        for lo in range(first, last, block):
+            hi = min(lo + block, last)
+            nb = hi - lo
+            gens = [key.stream(lo + j) for j in range(nb)]
+            uniforms = np.array([gen.random() for gen in gens])
+            if isinstance(start, GridFunction):
+                x = sample_from_density(start, uniforms)
+            else:
+                x = wrap(np.full(nb, float(start)))
+            positions[lo:hi, 0] = x
+            acc = np.zeros(nb) if integrals is not None else None
+            narrow = nb < _SCALAR_PATHS
+            if narrow:  # the scalar walk carries states and tables as Python floats
+                x, acc = x.tolist(), [0.0] * nb
+                scalar_tables = (grid._knots.tolist(), *(
+                    None if f is None else tuple(a.tolist() for a in f._table)
+                    for f in (drift, potential)))
+            col = 1
+            for k0 in range(0, n_steps, chunk):
+                width = min(chunk, n_steps - k0)
+                for j, gen in enumerate(gens):
+                    gen.standard_normal(out=normals[row + j, :width])
+                increments = normals[row:row + nb, :width]
+                increments *= sqrt_dt
+                if narrow:
+                    first_col = k0 // stride + 1
+                    for j in range(nb):
+                        x[j], acc[j], recorded = _scalar_window(
+                            x[j], acc[j], increments[j].tolist(),
+                            stride - k0 % stride, stride, cfg.dt, scalar_tables)
+                        positions[lo + j, first_col:first_col + len(recorded)] = recorded
+                    continue
+                for k in range(width):
+                    values = read(x)
+                    if acc is not None:
+                        acc += values[0] * cfg.dt
+                    step = increments[:, k]
+                    if drift is not None:
+                        step = step + values[-1] * cfg.dt
+                    x = wrap(x + step)
+                    if (k0 + k + 1) % stride == 0:
+                        positions[lo:hi, col] = x
+                        col += 1
+            if integrals is not None:
+                integrals[lo:hi] = acc
+
+    # Range r holds paths [n r / count, n (r+1) / count) and the rows
+    # [widest r / count, widest (r+1) / count) of normals: the splits
+    # coincide when every path fits one block, and the ranges' rows make up
+    # the one buffer the guard counts.
+    count = _process_count(cfg.n_paths, widest, n_steps)
+    paths = [cfg.n_paths * r // count for r in range(count + 1)]
+    rows = [widest * r // count for r in range(count + 1)]
+    _run_ranges(walk, [(paths[r], paths[r + 1], rows[r], rows[r + 1] - rows[r])
+                       for r in range(count)])
 
     return PathEnsemble(
         dt=cfg.dt,

@@ -296,6 +296,21 @@ class TestCliCommands:
         assert lines[0] == "bin_left,count,empirical_density,target_density"
         assert len(lines) == 65
 
+    def test_simulate_bytes_independent_of_process_count(self, tmp_path,
+                                                         monkeypatch):
+        # 2000 paths x 200 steps split over three forked ranges, whatever
+        # the machine's CPU count, write the serial run's bytes.
+        outputs = []
+        for cpus in (1, 3):
+            monkeypatch.setattr("fk_thermo.mc._usable_cpus", lambda: cpus)
+            out = tmp_path / str(cpus)
+            assert main(["simulate", "--grid.n=256", "--run.paths=2000",
+                         "--run.T=0.2", "--run.save_paths=1",
+                         f"--run.out={out}"]) == 0
+            outputs.append([(out / name).read_bytes() for name in
+                            ("simulate.json", "histogram.csv", "paths.csv")])
+        assert outputs[0] == outputs[1]
+
     def test_simulate_save_paths(self, tmp_path):
         cfg = write_cfg(tmp_path, MINIMAL +
                         "\n[run]\npaths = 5\nT = 0.01\nsave_paths = 1\n")
@@ -466,6 +481,20 @@ class TestCliCommands:
         err = capsys.readouterr().err.splitlines()
         assert err == ["fk-thermo: EntropyMismatch: entropy rate must be <= 0, "
                        "got 1e-06"]
+
+    def test_overflowing_mc_weights_exit_3(self, tmp_path, capsys):
+        # exp(1000 t) overflows every Feynman-Kac weight; exp(700 t) does not
+        argv = ["propagate", "--grid.n=64", "--run.method=mc", "--run.t=1",
+                "--run.paths=100"]
+        assert main([*argv, "--potential.constant=1000",
+                     f"--run.out={tmp_path / 'over'}"]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("fk-thermo: WeightOverflow: estimate inf, ")
+        assert not (tmp_path / "over" / "propagate.json").exists()
+        assert main([*argv, "--potential.constant=700",
+                     f"--run.out={tmp_path / 'finite'}"]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_any_numerical_failure_exits_3(self, tmp_path, capsys, monkeypatch):
         class Unresolved(NumericalFailure):

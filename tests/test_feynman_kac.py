@@ -6,7 +6,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from fk_thermo import (GridFunction, HarmonicSpec, McConfig, PropagatorConfig,
-                       build_generator, check_selfadjoint, gibbs_density,
+                       WeightOverflow, build_generator, check_selfadjoint, gibbs_density,
                        integrate, make_grid, propagate_mc, propagate_pde)
 from fk_thermo.feynman_kac import propagate_pde_many
 
@@ -178,6 +178,25 @@ class TestPropagateMc:
         monkeypatch.setattr("fk_thermo.mc._BLOCK_PATHS", 123)
         rechunked = propagate_mc(vcos512, f, 0.25, cfg, 0.1)
         assert baseline == rechunked
+
+    @pytest.mark.parametrize("c, f, overflows", [
+        (1000.0, "one", "estimate inf, standard error nan"),
+        (700.0, "wave", "standard error inf"),
+    ])
+    def test_overflowing_weights_raise(self, grid512, c, f, overflows):
+        # exp(1000) overflows every weight; exp(700) is finite, but squared
+        # deviations of 1e304 are not.  No RuntimeWarning leaks either way.
+        g = (const_fn(grid512, 1.0) if f == "one" else
+             HarmonicSpec(constant=1.0, harmonics=[(1, 0.5, 0.0)]).sample(grid512))
+        with pytest.raises(WeightOverflow, match=overflows):
+            propagate_mc(const_fn(grid512, c), g, 0.3,
+                         McConfig(n_paths=100, dt=1e-3, seed=1), 1.0)
+
+    def test_largest_finite_weights_pass(self, grid512):
+        est, se = propagate_mc(const_fn(grid512, 700.0), const_fn(grid512, 1.0),
+                               0.3, McConfig(n_paths=100, dt=1e-3, seed=1), 1.0)
+        assert np.isfinite(est) and est > 1e303
+        assert se == 0.0
 
 
 class TestSelfAdjoint:

@@ -1,9 +1,13 @@
 """Path engine: per-path streams, streamed increments, block and chunk
 independence, the scalar walk of narrow blocks, zero drifts, the memory
-guard."""
+guard, and path ranges split over forked processes."""
 
+import os
+import threading
 import tracemalloc
 
+import hypothesis
+import hypothesis.strategies as st
 import numpy as np
 import pytest
 
@@ -233,3 +237,146 @@ def test_memory_flat_in_horizon_one_path(vcos512, eig_cos512):
 
     short, long = peak_bytes(0.5), peak_bytes(2.0)
     assert long - short < 64 * 1024
+
+
+def _count_forks(monkeypatch):
+    """Record the child pid of each os.fork the parent makes."""
+    forks, fork = [], os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _force_processes(monkeypatch, count, min_steps=1):
+    monkeypatch.setattr(mc, "_usable_cpus", lambda: count)
+    monkeypatch.setattr(mc, "_MIN_RANGE_STEPS", min_steps)
+
+
+@pytest.mark.parametrize("cpus, n_paths, widest, n_steps, count", [
+    (2, 4, 4, 10**5, 2),            # a few long paths split
+    (2, 200, 200, 200, 1),          # 40000 path-steps: the fork costs more
+    (2, 2000, 2000, 200, 2),        # 1000 x 200 per range clears 2**17
+    (4, 2000, 2000, 200, 3),        # 500 x 200 per range would not
+    (4, 3, 3, 10**6, 3),            # never more ranges than paths
+    (4, 10**5, 2, 10, 2),           # nor than rows of the increment buffer
+    (4, 40_000, 20_000, 10, 3),     # ranges of several blocks
+    (1, 20_000, 20_000, 1000, 1),   # one usable CPU
+])
+def test_process_count(monkeypatch, cpus, n_paths, widest, n_steps, count):
+    monkeypatch.setattr(mc, "_usable_cpus", lambda: cpus)
+    assert mc._process_count(n_paths, widest, n_steps) == count
+
+
+@hypothesis.settings(max_examples=100, deadline=None, derandomize=True)
+@hypothesis.given(n_paths=st.integers(1, 3000), k=st.integers(1, 12),
+                  stride=st.sampled_from([1, 2, 5, None]),
+                  fields=st.sampled_from(["", "drift", "potential", "drift+potential"]),
+                  density_start=st.booleans(), processes=st.integers(1, 4),
+                  block_paths=st.sampled_from([20_000, 700, 57]))
+def test_forked_ranges_identical_to_serial(vcos512, eig_cos512, n_paths, k,
+                                           stride, fields, density_start,
+                                           processes, block_paths):
+    # Ranges of one path, ranges of several blocks (57 and 700 paths per
+    # block, split over the processes' rows of the buffer) and ranges
+    # narrower than the scalar walk's crossover all keep the serial bits.
+    drift = eig_cos512.drift if "drift" in fields else None
+    potential = vcos512 if "potential" in fields else None
+    start = gibbs_density(eig_cos512) if density_start else 0.3
+    n_steps = k * (stride or 1)
+    cfg = McConfig(n_paths=n_paths, dt=1e-3, seed=n_paths)
+    runs = []
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(mc, "_BLOCK_PATHS", block_paths)
+        forks = _count_forks(monkeypatch)
+        for count in (1, processes):
+            _force_processes(monkeypatch, count)
+            runs.append(simulate_paths(vcos512.grid, drift, start, n_steps * 1e-3,
+                                       cfg, potential=potential,
+                                       record_stride=stride))
+    assert len(forks) == min(processes, n_paths, block_paths) - 1
+    _no_child_left()
+    serial, split = runs
+    assert np.array_equal(split.positions, serial.positions)
+    if potential is None:
+        assert split.potential_integrals is None
+    else:
+        assert np.array_equal(split.potential_integrals,
+                              serial.potential_integrals)
+
+
+def test_wide_block_split_unevenly(vcos512, eig_cos512, monkeypatch):
+    # 20000 x 20 path-steps: four CPUs would leave 100000 per range, under
+    # 2**17, so three ranges of 6666, 6667 and 6667 paths run
+    cfg = McConfig(n_paths=20_000, dt=1e-3, seed=14)
+    forks, runs = _count_forks(monkeypatch), []
+    for cpus in (1, 4):
+        monkeypatch.setattr(mc, "_usable_cpus", lambda: cpus)
+        runs.append(simulate_paths(vcos512.grid, eig_cos512.drift,
+                                   gibbs_density(eig_cos512), 0.02, cfg,
+                                   potential=vcos512, record_stride=4))
+    assert len(forks) == 2
+    _no_child_left()
+    serial, split = runs
+    assert np.array_equal(split.positions, serial.positions)
+    assert np.array_equal(split.potential_integrals, serial.potential_integrals)
+
+
+@pytest.mark.parametrize("failing", ["child", "parent"])
+def test_no_process_outlives_a_failed_range(vcos512, eig_cos512, monkeypatch,
+                                            capfd, failing):
+    # 8 paths over 4 processes: ranges of 2 paths, each on the scalar walk
+    _force_processes(monkeypatch, 4)
+    parent, walk = os.getpid(), mc._scalar_window
+
+    def faulty(*args):
+        if (os.getpid() == parent) == (failing == "parent"):
+            raise RuntimeError("injected fault")
+        return walk(*args)
+
+    monkeypatch.setattr(mc, "_scalar_window", faulty)
+    cfg = McConfig(n_paths=8, dt=1e-3, seed=3)
+    if failing == "child":
+        with pytest.raises(mc.WorkerFailure,
+                           match=r"^paths \[2, 4\) ended with wait status 256 "
+                                 r"\(exit code 1\); paths \[4, 6\)") as info:
+            simulate_paths(vcos512.grid, eig_cos512.drift, 0.3, 0.1, cfg)
+        assert info.value.failures == [(2, 4, 256), (4, 6, 256), (6, 8, 256)]
+        assert capfd.readouterr().err.count("RuntimeError: injected fault") == 3
+    else:
+        with pytest.raises(RuntimeError, match="injected fault"):
+            simulate_paths(vcos512.grid, eig_cos512.drift, 0.3, 0.1, cfg)
+    _no_child_left()
+
+
+def test_serial_while_another_thread_runs(vcos512, eig_cos512, monkeypatch):
+    # A fork copies only its own thread, so no fork while another is alive.
+    _force_processes(monkeypatch, 4)
+    cfg = McConfig(n_paths=500, dt=1e-3, seed=6)
+    forks = _count_forks(monkeypatch)
+    split = simulate_paths(vcos512.grid, eig_cos512.drift, 0.3, 0.05, cfg,
+                           potential=vcos512)
+    assert len(forks) == 3
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        serial = simulate_paths(vcos512.grid, eig_cos512.drift, 0.3, 0.05, cfg,
+                                potential=vcos512)
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert len(forks) == 3
+    assert np.array_equal(split.positions, serial.positions)
+    assert np.array_equal(split.potential_integrals, serial.potential_integrals)
