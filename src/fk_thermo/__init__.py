@@ -18,7 +18,7 @@ from .spectral import (DegenerateGap, EigenSolution, NumericalFailure,
                        principal_eigenpair)
 from .feynman_kac import (PropagatorConfig, WeightOverflow, check_selfadjoint,
                           propagate_mc, propagate_pde)
-from .mc import McConfig, PathEnsemble, WorkerFailure, simulate_paths
+from .mc import McConfig, PathEnsemble, simulate_paths
 from .gibbs import (generator_apply, invariance_residual, normalized_semigroup,
                     rn_weights, rn_weights_admissible, simulate_sde,
                     tv_distance)
@@ -38,7 +38,7 @@ __all__ = [
     "gibbs_density", "principal_eigenpair",
     "PropagatorConfig", "WeightOverflow", "check_selfadjoint", "propagate_mc",
     "propagate_pde",
-    "McConfig", "PathEnsemble", "WorkerFailure", "simulate_paths",
+    "McConfig", "PathEnsemble", "simulate_paths",
     "generator_apply", "invariance_residual", "normalized_semigroup",
     "rn_weights", "rn_weights_admissible", "simulate_sde", "tv_distance",
     "AdmissibleDrift", "DecompositionMismatch", "EntropyMismatch",

@@ -11,8 +11,8 @@ order are fixed, so identical configs reproduce byte-identical files.
 Exit codes: 0 success / all checks pass, 1 verification failure, 2 usage or
 configuration error (a non-finite --perturb-eigenvalue included), 3 named
 numerical failure: any NumericalFailure (NonConvergence, PositivityViolation,
-DegenerateGap, DecompositionMismatch, EntropyMismatch), reported as one
-"fk-thermo: <Name>: <message>" line on stderr.
+DegenerateGap, DecompositionMismatch, EntropyMismatch, WeightOverflow),
+reported as one "fk-thermo: <Name>: <message>" line on stderr.
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ is what the verification suite leans on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isfinite
+from math import isfinite, log1p
 
 import numpy as np
 import scipy.sparse as sp
@@ -27,7 +27,8 @@ __all__ = ["PropagatorConfig", "propagate_pde", "propagate_pde_many", "propagate
 
 
 class WeightOverflow(NumericalFailure):
-    """A Feynman-Kac estimate or its standard error is not finite."""
+    """A Feynman-Kac weight overflowed: a Monte-Carlo estimate or its
+    standard error, or a Crank-Nicolson state, is not finite."""
 
 
 @dataclass(frozen=True)
@@ -51,7 +52,8 @@ def propagate_pde_many(V: GridFunction, functions, horizons, dt: float) -> dict:
     One LU of I - (dt/2) A and one march of the (n, m) stack serve every
     function and horizon (ascending), each column with the bits of its own
     run.  dt must stay below 2 / max(V), where I - (dt/2) A is nonsingular
-    (the Laplacian part only pushes eigenvalues down).
+    (the Laplacian part only pushes eigenvalues down).  Raises
+    WeightOverflow if the state at a horizon is not finite.
     """
     steps = {t: PropagatorConfig(t=t, dt=dt).n_steps for t in sorted(horizons)}
     if any(f.grid != V.grid for f in functions):
@@ -69,6 +71,14 @@ def propagate_pde_many(V: GridFunction, functions, horizons, dt: float) -> dict:
     for (t, n_steps), done in zip(steps.items(), [0, *steps.values()]):
         for _ in range(n_steps - done):
             u += lu.solve(dt * (A @ u))
+        if not np.isfinite(u).all():
+            # a step multiplies a mode by (1 + dt mu/2) / (1 - dt mu/2) for
+            # its eigenvalue mu <= max(V), so by at most exp(growth / n_steps)
+            growth = n_steps * log1p(dt * max(vmax, 0.0) / (1 - 0.5 * dt * vmax))
+            raise WeightOverflow(
+                f"the Crank-Nicolson state at t={t} is not finite: {n_steps} "
+                f"steps of dt={dt} grow it by up to exp({growth:.6g}), and exp "
+                f"overflows above 709.78")
         out[t] = [GridFunction(V.grid, column) for column in u.T]
     return out
 

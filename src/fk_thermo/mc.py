@@ -29,9 +29,11 @@ first, runs the first itself and reaps every child; each process runs the
 same block loop over its range and writes its rows of positions and
 potential integrals in place, in anonymous shared memory.  A path's numbers
 depend on (seed, index) alone, so the ensemble has the serial run's bits.
-The run stays in one process where the platform has no
-os.sched_getaffinity, on one usable CPU, below the threshold, or while
-another Python thread is alive.
+A range that cannot be forked, or whose child fails, is walked again in
+the parent after every child is reaped, so a run ends as the serial run
+does: with its bits or with its exception.  The run stays in one process
+where the platform has no os.sched_getaffinity, on one usable CPU, below
+the threshold, or while another Python thread is alive.
 """
 
 from __future__ import annotations
@@ -39,9 +41,7 @@ from __future__ import annotations
 import mmap
 import os
 import signal
-import sys
 import threading
-import traceback
 from dataclasses import dataclass
 from math import floor, isfinite, prod
 
@@ -51,7 +51,7 @@ from numpy.random.bit_generator import ISeedSequence
 from .grid import GridFunction, PeriodicGrid, periodic_reader, wrap
 
 __all__ = ["McConfig", "PathEnsemble", "simulate_paths", "sample_from_density",
-           "step_count", "mean_and_se", "WorkerFailure"]
+           "step_count", "mean_and_se"]
 
 _MAX_DOUBLES = 300_000_000  # ~2.4 GB guard: recorded positions plus increments
 _CHUNK_DOUBLES = 1 << 21  # 16 MiB increment buffer per block of paths
@@ -128,20 +128,6 @@ class _PhiloxKey(ISeedSequence):
         return np.random.Generator(np.random.Philox(self, counter=counter))
 
 
-class WorkerFailure(RuntimeError):
-    """A forked process ended without finishing its range of paths.
-
-    failures lists (first path, end path, wait status) for each such range.
-    """
-
-    def __init__(self, failures: list[tuple[int, int, int]]) -> None:
-        self.failures = failures
-        super().__init__("; ".join(
-            f"paths [{lo}, {hi}) ended with wait status {status} "
-            f"(exit code {os.waitstatus_to_exitcode(status)})"
-            for lo, hi, status in failures))
-
-
 def _usable_cpus() -> int:
     """CPUs this process may run on; 1 where the platform cannot say."""
     try:
@@ -177,29 +163,30 @@ def _shared_zeros(shape) -> np.ndarray:
 def _run_ranges(walk, ranges: list[tuple]) -> None:
     """walk(*ranges[0]) here and each later range in a forked child.
 
-    The parent reaps every child with waitpid before it returns or raises.
-    If its own range raises, it kills the children and re-raises; if a
-    child ended otherwise than by exit code 0, it raises WorkerFailure.
-    A child never returns into the caller's code: it leaves by os._exit,
-    printing its traceback first if its range raised.
+    The parent reaps every child with waitpid.  If its own range raises, it
+    kills the children and re-raises.  Once every child is reaped, it walks
+    again, in path order, each range whose fork raised OSError or whose
+    child ended otherwise than by exit code 0: a range's rows depend on
+    (seed, index) alone and its walk rewrites every one of them, so the
+    outcome is the serial run's, its bits or its exception.  A child never
+    returns into the caller's code: it leaves by os._exit.
     """
-    children = {}
+    children, unforked = {}, []
     try:
-        for first, last, *rest in ranges[1:]:
-            pid = os.fork()
+        for args in ranges[1:]:
+            try:
+                pid = os.fork()
+            except OSError:
+                unforked.append(args)
+                continue
             if pid == 0:
                 status = 1
                 try:
-                    walk(first, last, *rest)
+                    walk(*args)
                     status = 0
-                except BaseException:
-                    traceback.print_exc()
                 finally:
-                    try:
-                        sys.stderr.flush()
-                    finally:
-                        os._exit(status)
-            children[pid] = (first, last)
+                    os._exit(status)
+            children[pid] = args
         walk(*ranges[0])
     except BaseException:
         for pid in children:
@@ -207,9 +194,9 @@ def _run_ranges(walk, ranges: list[tuple]) -> None:
         raise
     finally:
         statuses = {pid: os.waitpid(pid, 0)[1] for pid in children}
-    failures = [(*children[pid], status) for pid, status in statuses.items() if status]
-    if failures:
-        raise WorkerFailure(failures)
+    failed = [children[pid] for pid, status in statuses.items() if status]
+    for args in sorted(unforked + failed):
+        walk(*args)
 
 
 @dataclass(frozen=True)
@@ -351,10 +338,12 @@ def simulate_paths(
     path-steps per range, contiguous path ranges run in forked processes,
     each on its own rows of the one increment buffer allocated before the
     fork, so the guard still counts all increment memory; see the module
-    docstring for when the run stays serial.  A range that fails in a child
-    raises WorkerFailure with its paths and wait status; no child outlives
-    the call.  The bits are the same every way, so the ensemble depends on
-    (seed, path index) alone, not on the block, chunk or process count.
+    docstring for when the run stays serial.  A range whose fork raises
+    OSError or whose child fails is walked again in this process once every
+    child is reaped, so a failure raises the serial run's exception; no
+    child outlives the call.  The bits are the same every way, so the
+    ensemble depends on (seed, path index) alone, not on the block, chunk
+    or process count.
     """
     n_steps = step_count(T, cfg.dt)
     stride = n_steps if record_stride is None else int(record_stride)

@@ -16,17 +16,8 @@ _POTENTIALS = {
 
 
 def fd_top_eigenvalue(n: int, potential: str) -> float:
-    """Top eigenvalue of the periodic stencil operator, assembled inline."""
-    h = 1.0 / n
-    x = np.arange(n) / n
-    idx = np.arange(n)
-    mat = np.zeros((n, n))
-    mat[idx, idx] = -2.0
-    mat[idx, (idx + 1) % n] = 1.0
-    mat[idx, (idx - 1) % n] = 1.0
-    mat *= 0.5 / h**2
-    mat[idx, idx] += _POTENTIALS[potential](x)
-    return float(np.linalg.eigvalsh(mat)[-1])
+    """Top eigenvalue of fd_operator's periodic stencil matrix."""
+    return float(np.linalg.eigvalsh(fd_operator(n, potential))[-1])
 
 
 @lru_cache(maxsize=None)

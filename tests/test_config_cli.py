@@ -1,4 +1,6 @@
+import errno
 import json
+import os
 import re
 import warnings
 from pathlib import Path
@@ -9,6 +11,7 @@ import numpy as np
 import pytest
 from scipy.sparse.linalg import splu
 
+import fk_thermo.mc as mc
 from fk_thermo import __version__, cli
 from fk_thermo.cli import main, run_verify
 from fk_thermo.config import ConfigError, parse_config
@@ -296,20 +299,37 @@ class TestCliCommands:
         assert lines[0] == "bin_left,count,empirical_density,target_density"
         assert len(lines) == 65
 
-    def test_simulate_bytes_independent_of_process_count(self, tmp_path,
-                                                         monkeypatch):
+    def test_simulate_bytes_independent_of_process_count(self, tmp_path, capfd):
         # 2000 paths x 200 steps split over three forked ranges, whatever
-        # the machine's CPU count, write the serial run's bytes.
+        # the machine's CPU count, write the serial run's bytes.  So do runs
+        # whose children fail or whose forks raise EAGAIN: the parent walks
+        # those ranges itself.
+        parent, wrap = os.getpid(), mc.wrap
+
+        def failing_child(x):
+            if os.getpid() != parent:
+                raise RuntimeError("injected fault")
+            return wrap(x)
+
+        def refused_fork():
+            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
         outputs = []
-        for cpus in (1, 3):
-            monkeypatch.setattr("fk_thermo.mc._usable_cpus", lambda: cpus)
-            out = tmp_path / str(cpus)
-            assert main(["simulate", "--grid.n=256", "--run.paths=2000",
-                         "--run.T=0.2", "--run.save_paths=1",
-                         f"--run.out={out}"]) == 0
+        for run, cpus, faults in (("serial", 1, []), ("split", 3, []),
+                                  ("child", 3, [(mc, "wrap", failing_child)]),
+                                  ("fork", 3, [(os, "fork", refused_fork)])):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(mc, "_usable_cpus", lambda: cpus)
+                for fault in faults:
+                    patch.setattr(*fault)
+                out = tmp_path / run
+                assert main(["simulate", "--grid.n=256", "--run.paths=2000",
+                             "--run.T=0.2", "--run.save_paths=1",
+                             f"--run.out={out}"]) == 0
             outputs.append([(out / name).read_bytes() for name in
                             ("simulate.json", "histogram.csv", "paths.csv")])
-        assert outputs[0] == outputs[1]
+        assert all(output == outputs[0] for output in outputs[1:])
+        assert capfd.readouterr().err == ""
 
     def test_simulate_save_paths(self, tmp_path):
         cfg = write_cfg(tmp_path, MINIMAL +
@@ -495,6 +515,19 @@ class TestCliCommands:
         assert main([*argv, "--potential.constant=700",
                      f"--run.out={tmp_path / 'finite'}"]) == 0
         assert capsys.readouterr().err == ""
+
+    def test_overflowing_pde_state_exits_3(self, tmp_path, capsys):
+        # At dt=1e-3 a Crank-Nicolson step under V = 700 multiplies by
+        # 1.35 / 0.65, so 1000 steps overflow where exp(700) would not.
+        for c, growth in ((1000, "1098.61"), (700, "730.888")):
+            assert main(["propagate", "--grid.n=64", "--run.method=pde",
+                         f"--potential.constant={c}", "--run.t=1",
+                         f"--run.out={tmp_path}"]) == 3
+            assert capsys.readouterr().err.splitlines() == [
+                "fk-thermo: WeightOverflow: the Crank-Nicolson state at t=1.0 "
+                "is not finite: 1000 steps of dt=0.001 grow it by up to "
+                f"exp({growth}), and exp overflows above 709.78"]
+            assert not (tmp_path / "propagate.json").exists()
 
     def test_any_numerical_failure_exits_3(self, tmp_path, capsys, monkeypatch):
         class Unresolved(NumericalFailure):

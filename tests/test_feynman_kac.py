@@ -146,6 +146,21 @@ class TestPropagatePdeMany:
         with pytest.raises(ValueError, match="dt must be positive"):
             propagate_pde_many(vcos512, [f], [0.1], -1e-3)
 
+    @pytest.mark.parametrize("f", ["one", "wave"])
+    def test_overflowing_state_names_its_horizon(self, grid512, f):
+        # At dt=1e-3 each step multiplies by (1 + 0.5) / (1 - 0.5) = 3 for
+        # V = 1000: 3^500 is finite at t=0.5 and 3^1000 overflows by t=1.
+        # No RuntimeWarning leaks on the way.
+        V = const_fn(grid512, 1000.0)
+        g = (const_fn(grid512, 1.0) if f == "one" else
+             HarmonicSpec(constant=1.0, harmonics=[(1, 0.5, 0.0)]).sample(grid512))
+        assert np.isfinite(propagate_pde_many(V, [g], [0.5], 1e-3)[0.5][0].values).all()
+        with pytest.raises(WeightOverflow, match=r"^the Crank-Nicolson state at "
+                                                 r"t=1\.0 is not finite: 1000 steps "
+                                                 r"of dt=0\.001 grow it by up to "
+                                                 r"exp\(1098\.61\), "):
+            propagate_pde_many(V, [g], [0.5, 1.0], 1e-3)
+
 
 class TestPropagateMc:
     def test_free_case_exact(self, grid512):

@@ -2,6 +2,7 @@
 independence, the scalar walk of narrow blocks, zero drifts, the memory
 guard, and path ranges split over forked processes."""
 
+import errno
 import os
 import threading
 import tracemalloc
@@ -332,31 +333,102 @@ def test_wide_block_split_unevenly(vcos512, eig_cos512, monkeypatch):
     assert np.array_equal(split.potential_integrals, serial.potential_integrals)
 
 
-@pytest.mark.parametrize("failing", ["child", "parent"])
-def test_no_process_outlives_a_failed_range(vcos512, eig_cos512, monkeypatch,
-                                            capfd, failing):
-    # 8 paths over 4 processes: ranges of 2 paths, each on the scalar walk
-    _force_processes(monkeypatch, 4)
+def _record_parent_walks(monkeypatch):
+    """Record the (first, last) paths of each range the parent walks."""
+    walks, run_ranges, parent = [], mc._run_ranges, os.getpid()
+
+    def recorded(walk, ranges):
+        def logged(*args):
+            if os.getpid() == parent:
+                walks.append(args[:2])
+            walk(*args)
+
+        run_ranges(logged, ranges)
+
+    monkeypatch.setattr(mc, "_run_ranges", recorded)
+    return walks
+
+
+def _inject_fault(monkeypatch, in_parent):
+    """Make every range walked in the parent, or in a child, raise."""
     parent, walk = os.getpid(), mc._scalar_window
 
     def faulty(*args):
-        if (os.getpid() == parent) == (failing == "parent"):
+        if (os.getpid() == parent) == in_parent:
             raise RuntimeError("injected fault")
         return walk(*args)
 
     monkeypatch.setattr(mc, "_scalar_window", faulty)
-    cfg = McConfig(n_paths=8, dt=1e-3, seed=3)
-    if failing == "child":
-        with pytest.raises(mc.WorkerFailure,
-                           match=r"^paths \[2, 4\) ended with wait status 256 "
-                                 r"\(exit code 1\); paths \[4, 6\)") as info:
-            simulate_paths(vcos512.grid, eig_cos512.drift, 0.3, 0.1, cfg)
-        assert info.value.failures == [(2, 4, 256), (4, 6, 256), (6, 8, 256)]
-        assert capfd.readouterr().err.count("RuntimeError: injected fault") == 3
-    else:
-        with pytest.raises(RuntimeError, match="injected fault"):
-            simulate_paths(vcos512.grid, eig_cos512.drift, 0.3, 0.1, cfg)
+
+
+def _check_parent_rewalks(vcos512, eig_cos512, monkeypatch, capfd, n_paths,
+                          processes, refused=(), failing_children=False):
+    """Split n_paths over processes while the forks numbered in refused
+    raise EAGAIN and, with failing_children, every child's range raises.
+    The parent must walk its own range and then each refused or failed one
+    in path order, for the serial bits, with nothing on stderr and no child
+    left."""
+    cfg = McConfig(n_paths=n_paths, dt=1e-3, seed=n_paths)
+    serial = simulate_paths(vcos512.grid, eig_cos512.drift, 0.3, 0.1, cfg,
+                            potential=vcos512)
+    _force_processes(monkeypatch, processes)
+    if failing_children:
+        _inject_fault(monkeypatch, in_parent=False)
+    attempts, fork = [], os.fork
+
+    def refusing():
+        attempts.append(None)
+        if len(attempts) in refused:
+            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        return fork()
+
+    monkeypatch.setattr(os, "fork", refusing)
+    forks, walks = _count_forks(monkeypatch), _record_parent_walks(monkeypatch)
+    split = simulate_paths(vcos512.grid, eig_cos512.drift, 0.3, 0.1, cfg,
+                           potential=vcos512)
     _no_child_left()
+    bounds = [n_paths * r // processes for r in range(processes + 1)]
+    walked = {0, *refused, *(range(processes) if failing_children else ())}
+    assert len(attempts) == processes - 1
+    assert len(forks) == processes - 1 - len(refused)
+    assert walks == [(bounds[r], bounds[r + 1]) for r in sorted(walked)]
+    assert np.array_equal(split.positions, serial.positions)
+    assert np.array_equal(split.potential_integrals, serial.potential_integrals)
+    assert capfd.readouterr().err == ""
+
+
+@pytest.mark.parametrize("failing", ["child", "parent"])
+def test_no_process_outlives_a_failed_range(vcos512, eig_cos512, monkeypatch,
+                                            capfd, failing):
+    # 8 paths over 4 processes: ranges of 2 paths, each on the scalar walk.
+    # A range that fails in a child is walked again by the parent; a fault
+    # in the parent's own range kills the children and re-raises.
+    if failing == "child":
+        _check_parent_rewalks(vcos512, eig_cos512, monkeypatch, capfd, 8, 4,
+                              failing_children=True)
+        return
+    _force_processes(monkeypatch, 4)
+    _inject_fault(monkeypatch, in_parent=True)
+    cfg = McConfig(n_paths=8, dt=1e-3, seed=3)
+    with pytest.raises(RuntimeError, match="injected fault"):
+        simulate_paths(vcos512.grid, eig_cos512.drift, 0.3, 0.1, cfg)
+    _no_child_left()
+
+
+@pytest.mark.parametrize("processes, refused, failing_children", [
+    (2, {1}, False),        # the only fork
+    (3, {2}, False),        # the first fork succeeds, the second is refused
+    (4, {2, 3}, False),
+    (4, {1, 2, 3}, False),  # every fork
+    (4, {2}, True),         # forked ranges 1 and 3 fail around unforked 2
+], ids=["only", "second", "last-two", "every", "among-failed-children"])
+def test_unforkable_ranges_walk_in_the_parent(vcos512, eig_cos512, monkeypatch,
+                                              capfd, processes, refused,
+                                              failing_children):
+    # A fork that raises EAGAIN leaves its range to the parent, which walks
+    # it once the children that did fork are reaped.  12 paths per run.
+    _check_parent_rewalks(vcos512, eig_cos512, monkeypatch, capfd, 12,
+                          processes, refused, failing_children)
 
 
 def test_serial_while_another_thread_runs(vcos512, eig_cos512, monkeypatch):
