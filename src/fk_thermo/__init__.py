@@ -1,9 +1,9 @@
 """Numerics on the circle for weighted heat semigroups and Gibbs diffusions.
 
 The package computes principal eigenpairs of f -> f''/2 + V f on periodic
-grids, propagates the associated weighted heat semigroup by Crank-Nicolson
-and by Monte-Carlo path integration, simulates the normalized (Doob) Gibbs
-diffusion, and evaluates relative entropy, pressure and the variational
+grids, propagates the associated weighted heat semigroup by shift-invert
+Krylov and by Monte-Carlo path integration, simulates the normalized (Doob)
+Gibbs diffusion, and evaluates relative entropy, pressure and the variational
 principle pressure == principal eigenvalue, with independent numerical
 routes cross-checking every identity.
 """

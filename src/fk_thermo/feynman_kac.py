@@ -1,39 +1,44 @@
 """Weighted heat semigroup: deterministic propagation and path-integral sampling.
 
 The semigroup applies exp(t(D/2 + V)) to a function.  Two independent routes
-are provided: Crank-Nicolson time stepping of the sparse generator matrix, by
-one kernel (propagate_pde_many: one sparse LU per (V, dt), every function and
-horizon in one O(n)-per-step march), and a Monte-Carlo average of
-exp(integral of V along a Brownian path) times the terminal value.  Their
-agreement (and the self-adjointness of the propagator for the flat measure)
-is what the verification suite leans on.
+are provided: shift-invert Krylov (exp_action: one sparse LU per horizon,
+then a small Arnoldi basis per function, exact in time to about 1e-13 of the
+result), and a Monte-Carlo average of exp(integral of V along a Brownian
+path) times the terminal value.  Their agreement (and the self-adjointness
+of the propagator for the flat measure) is what the verification suite
+leans on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isfinite, log1p
+from math import isfinite
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import expm, norm
 from scipy.sparse.linalg import splu
 
 from .grid import GridFunction, integrate
 from .mc import McConfig, mean_and_se, simulate_paths, step_count
-from .spectral import NumericalFailure, build_generator
+from .spectral import NonConvergence, NumericalFailure, build_generator
 
-__all__ = ["PropagatorConfig", "propagate_pde", "propagate_pde_many", "propagate_mc",
-           "check_selfadjoint", "WeightOverflow"]
+__all__ = ["PropagatorConfig", "exp_action", "propagate_pde", "propagate_pde_many",
+           "propagate_mc", "check_selfadjoint", "WeightOverflow"]
 
 
 class WeightOverflow(NumericalFailure):
     """A Feynman-Kac weight overflowed: a Monte-Carlo estimate or its
-    standard error, or a Crank-Nicolson state, is not finite."""
+    standard error, or a propagated state, is not finite."""
 
 
 @dataclass(frozen=True)
 class PropagatorConfig:
-    """Horizon and step size for Crank-Nicolson propagation."""
+    """Horizon t and step dt; t must be a whole number n_steps of steps.
+
+    The Krylov route is exact in time and reads only t; dt steps the
+    Monte-Carlo route run beside it.
+    """
 
     t: float
     dt: float
@@ -46,47 +51,101 @@ class PropagatorConfig:
         return step_count(self.t, self.dt)
 
 
-def propagate_pde_many(V: GridFunction, functions, horizons, dt: float) -> dict:
-    """Crank-Nicolson u' = (D/2 + V) u from each function: {t: [u(t), ...]}.
+# Successive Krylov dimensions must agree to _KRYLOV_TOL of the result, or to
+# the roundoff floor eps |X|_1 of the small exponential exp(X) where that is
+# larger.  A new direction below _BREAKDOWN of the resolvent's output means
+# the basis spans an invariant subspace (a happy breakdown).
+_KRYLOV_TOL, _BREAKDOWN, _KRYLOV_DIM = 1e-13, 1e-14, 48
+_EPS = float(np.finfo(float).eps)
 
-    One LU of I - (dt/2) A and one march of the (n, m) stack serve every
-    function and horizon (ascending), each column with the bits of its own
-    run.  dt must stay below 2 / max(V), where I - (dt/2) A is nonsingular
-    (the Laplacian part only pushes eigenvalues down).  Raises
-    WeightOverflow if the state at a horizon is not finite.
+
+def _krylov_exp(resolvent, b: np.ndarray, t: float, gamma: float) -> np.ndarray:
+    """exp(t (I - B^{-1}) / gamma) b by Arnoldi on B, where resolvent(v) = B v.
+
+    Full (twice classical Gram-Schmidt) orthogonalization builds B V = V H
+    from b; exp of the small projected matrix (I - H^{-1}) / gamma gives the
+    result in the basis.  Stops at a happy breakdown, at dimension n, or once
+    two successive dimensions agree; raises NonConvergence at _KRYLOV_DIM.
     """
-    steps = {t: PropagatorConfig(t=t, dt=dt).n_steps for t in sorted(horizons)}
+    n = b.size
+    beta = norm(b, check_finite=False)  # BLAS nrm2 does not overflow
+    if beta == 0.0:
+        return np.zeros(n)
+    dim = min(n, _KRYLOV_DIM)
+    basis = np.empty((dim + 1, n))
+    hess = np.zeros((dim + 1, dim))
+    basis[0] = b / beta
+    gap = np.inf
+    for m in range(1, dim + 1):
+        w = resolvent(basis[m - 1])
+        for _ in range(2):
+            c = basis[:m] @ w
+            w -= c @ basis[:m]
+            hess[:m, m - 1] += c
+        hess[m, m - 1] = h = np.linalg.norm(w)
+        small = t * (np.eye(m) - np.linalg.inv(hess[:m, :m])) / gamma
+        y = expm(small)[:, 0]
+        if m > 1:
+            gap = np.linalg.norm(y - np.append(prev, 0.0))
+        tol = max(_KRYLOV_TOL, _EPS * np.linalg.norm(small, 1))
+        if (m == n or h <= _BREAKDOWN * np.linalg.norm(hess[:m + 1, m - 1])
+                or gap <= tol * np.linalg.norm(y)):
+            return beta * (y @ basis[:m])
+        prev = y
+        basis[m] = w / h
+    raise NonConvergence(f"shift-invert Krylov at t={t}: the last two of {dim} "
+                         f"dimensions differ by {gap / np.linalg.norm(y):.3g} of "
+                         f"the result")
+
+
+def exp_action(matrix: sp.csr_array, vectors, horizons, shift: float = 0.0) -> dict:
+    """{t: [exp(t (matrix + shift I)) v, ...]} for each distinct horizon t, ascending.
+
+    matrix is a stencil whose spectrum lies at or left of 0 (D/2 + V -
+    max(V, 0), or a Doob generator), so I - gamma matrix, gamma = t/10, is a
+    nonsingular M-matrix.  One sparse LU of it serves every vector at
+    horizon t, and each vector has its own Krylov space, so each result has
+    the bits of its own one-vector run.  The LU is applied in increment form,
+    v + gamma LU^{-1} (matrix v), which keeps states the matrix annihilates
+    (constants for D/2) fixed to the last bit.  The result is scaled by
+    e^{shift t}; raises WeightOverflow if it is not finite.
+    """
+    n = matrix.shape[0]
+    out = {}
+    for t in sorted(set(horizons)):
+        if not 0.0 < t < np.inf:
+            raise ValueError(f"horizon must be positive and finite, got {t}")
+        gamma = t / 10.0
+        lu = splu((sp.eye_array(n) - gamma * matrix).tocsc())
+        with np.errstate(over="ignore"):
+            # two factors, so that a finite result never overflows on the way
+            half = np.exp(0.5 * shift * t)
+            out[t] = [_krylov_exp(lambda v: v + lu.solve(gamma * (matrix @ v)),
+                                  u, t, gamma) * half * half for u in vectors]
+        if not all(np.isfinite(u).all() for u in out[t]):
+            raise WeightOverflow(f"the propagated state at t={t} is not finite "
+                                 f"(exp overflows above 709.78)")
+    return out
+
+
+def propagate_pde_many(V: GridFunction, functions, horizons) -> dict:
+    """exp(t (D/2 + V)) of each function: {t: [u(t), ...]}, t ascending.
+
+    exp_action on the stencil of V - c, scaled back by e^{c t}, c = max(V, 0);
+    raises WeightOverflow if a state is not finite.
+    """
     if any(f.grid != V.grid for f in functions):
         raise ValueError("potential and initial condition on different grids")
-    vmax = float(np.max(V.values))
-    if vmax > 0 and dt >= 2.0 / vmax:
-        raise ValueError(f"dt={dt} reaches the implicit-solve cap "
-                         f"2/max(V)={2.0 / vmax:.3g}")
-    A = build_generator(V).matrix
-    lu = splu((sp.eye_array(V.grid.n) - 0.5 * dt * A).tocsc())
-    u = np.stack([f.values for f in functions], axis=1)
-    out = {}
-    # Increment form of the same scheme: solving for the update keeps states
-    # the generator annihilates (constants for V = 0) fixed to the last bit.
-    for (t, n_steps), done in zip(steps.items(), [0, *steps.values()]):
-        for _ in range(n_steps - done):
-            u += lu.solve(dt * (A @ u))
-        if not np.isfinite(u).all():
-            # a step multiplies a mode by (1 + dt mu/2) / (1 - dt mu/2) for
-            # its eigenvalue mu <= max(V), so by at most exp(growth / n_steps)
-            growth = n_steps * log1p(dt * max(vmax, 0.0) / (1 - 0.5 * dt * vmax))
-            raise WeightOverflow(
-                f"the Crank-Nicolson state at t={t} is not finite: {n_steps} "
-                f"steps of dt={dt} grow it by up to exp({growth:.6g}), and exp "
-                f"overflows above 709.78")
-        out[t] = [GridFunction(V.grid, column) for column in u.T]
-    return out
+    c = max(float(np.max(V.values)), 0.0)
+    states = exp_action(build_generator(V - c).matrix,
+                        [f.values for f in functions], horizons, shift=c)
+    return {t: [GridFunction(V.grid, u) for u in us] for t, us in states.items()}
 
 
 def propagate_pde(V: GridFunction, f: GridFunction,
                   cfg: PropagatorConfig) -> GridFunction:
-    """Crank-Nicolson solution of u' = (D/2 + V) u at time t, from u(0) = f."""
-    return propagate_pde_many(V, [f], [cfg.t], cfg.dt)[cfg.t][0]
+    """Solution of u' = (D/2 + V) u at time cfg.t, from u(0) = f."""
+    return propagate_pde_many(V, [f], [cfg.t])[cfg.t][0]
 
 
 def propagate_mc(V: GridFunction, f: GridFunction, x: float, cfg: McConfig,
@@ -109,12 +168,16 @@ def propagate_mc(V: GridFunction, f: GridFunction, x: float, cfg: McConfig,
         raise WeightOverflow(
             f"estimate {estimate}, standard error {std_error}; the largest "
             f"potential integral is {ens.potential_integrals.max():.6g} (exp "
-            f"overflows above 709.78, its square above 354.89)")
+            f"overflows above 709.78)")
     return estimate, std_error
 
 
 def check_selfadjoint(V: GridFunction, f: GridFunction, g: GridFunction,
                       t: float, dt: float) -> float:
-    """|<P_t f, g> - <f, P_t g>| for the flat measure, via the PDE route."""
-    pf, pg = propagate_pde_many(V, [f, g], [t], dt)[t]
+    """|<P_t f, g> - <f, P_t g>| for the flat measure, via the PDE route.
+
+    dt only has to divide t, as in PropagatorConfig.
+    """
+    PropagatorConfig(t=t, dt=dt)
+    pf, pg = propagate_pde_many(V, [f, g], [t])[t]
     return abs(integrate(pf * g) - integrate(f * pg))

@@ -3,7 +3,9 @@
 Dividing the weighted heat semigroup by its principal eigenpair yields a
 stochastic semigroup fixing constants; its generator is a Brownian motion
 with drift equal to the log-gradient of the eigenfunction.  This module
-realizes that process by Euler simulation, checks invariance of the
+applies that semigroup by shift-invert Krylov on the Doob generator
+diag(1/F) (A - lambda I) diag(F) (no division by F after the fact), realizes
+the process by Euler simulation, checks invariance of the
 eigen-density, and computes the two Radon-Nikodym path weights (eigen form
 and generic drift-potential form) whose path-wise agreement is the discrete
 version of the coboundary identity.
@@ -13,10 +15,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .feynman_kac import PropagatorConfig, propagate_pde
+from .feynman_kac import PropagatorConfig, exp_action
 from .grid import GridFunction, derivative, integrate
 from .mc import McConfig, PathEnsemble, simulate_paths
-from .spectral import EigenSolution, gibbs_density, laplacian_half
+from .spectral import EigenSolution, doob_generator, gibbs_density, laplacian_half
 
 __all__ = [
     "normalized_semigroup",
@@ -34,12 +36,17 @@ __all__ = [
 
 def normalized_semigroup(solution: EigenSolution, V: GridFunction,
                          f: GridFunction, t: float, dt: float) -> GridFunction:
-    """Doob-normalized semigroup: P_t(F f) / (e^{lambda t} F), node-wise."""
-    F = solution.eigenfunction
-    cfg = PropagatorConfig(t=t, dt=dt)
-    num = propagate_pde(V, F * f, cfg)
-    vals = num.values / (np.exp(solution.eigenvalue * t) * F.values)
-    return GridFunction(f.grid, vals)
+    """Doob-normalized semigroup exp(t L) f, L = doob_generator(solution, V).
+
+    This is P_t(F f) / (e^{lambda t} F), computed in the frame where L 1 = 0,
+    so the tail of F is as accurate as the bulk.  dt only has to divide t,
+    as in PropagatorConfig.
+    """
+    PropagatorConfig(t=t, dt=dt)
+    if f.grid != V.grid:
+        raise ValueError("potential and function on different grids")
+    return GridFunction(f.grid, exp_action(doob_generator(solution, V),
+                                           [f.values], [t])[t][0])
 
 
 def generator_apply(solution: EigenSolution, f: GridFunction) -> GridFunction:

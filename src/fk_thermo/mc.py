@@ -95,11 +95,16 @@ def step_count(T: float, dt: float) -> int:
 
 
 def mean_and_se(values: np.ndarray) -> tuple[float, float]:
-    """Sample mean and its standard error; one value has standard error 0."""
+    """Sample mean and its standard error; one value has standard error 0.
+
+    The deviations are squared at the scale of the largest magnitude, so a
+    finite sample has a finite standard error, and equal values have 0.
+    """
     mean = float(values.mean())
     if values.size == 1:
         return mean, 0.0
-    return mean, float(values.std(ddof=1) / np.sqrt(values.size))
+    scale = float(np.max(np.abs(values))) or 1.0
+    return mean, float((values / scale).std(ddof=1) / np.sqrt(values.size) * scale)
 
 
 class _PhiloxKey(ISeedSequence):

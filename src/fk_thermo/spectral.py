@@ -30,6 +30,7 @@ __all__ = [
     "DegenerateGap",
     "NonConvergence",
     "build_generator",
+    "doob_generator",
     "principal_eigenpair",
     "gibbs_density",
     "eigen_probability",
@@ -226,6 +227,18 @@ def principal_eigenpair(op: OperatorMatrix) -> EigenSolution:
         drift=drift,
         spectral_gap=gap,
     )
+
+
+def doob_generator(solution: EigenSolution, V: GridFunction) -> sp.csr_array:
+    """Markov generator diag(1/F) (A - lambda I) diag(F) of the Doob transform.
+
+    V is the potential the eigenpair was solved for and A its stencil.  The
+    rows sum to zero up to the eigenpair residual over F, so exp(t L) fixes
+    constants node by node, with no division by F after the fact.
+    """
+    F, n = solution.eigenfunction.values, V.grid.n
+    return (sp.diags_array(1.0 / F) @ (build_generator(V).matrix
+            - solution.eigenvalue * sp.eye_array(n)) @ sp.diags_array(F))
 
 
 def gibbs_density(solution: EigenSolution) -> GridFunction:

@@ -32,7 +32,7 @@ from .grid import (GridFunction, HarmonicSpec, _derivative_values, derivative,
                    integrate)
 from .mc import McConfig, mean_and_se, simulate_paths
 from .spectral import (EigenSolution, NonConvergence, NumericalFailure,
-                       build_generator, roundoff_bound, stencil_excess)
+                       doob_generator, roundoff_bound, stencil_excess)
 
 __all__ = [
     "AdmissibleDrift",
@@ -125,23 +125,20 @@ def admissible_from_eigen(solution: EigenSolution,
     eigenvalue, with the derivative D of admissible_from_values, so the
     drift's pressure is lam to roundoff; R drops the Nyquist mode D(D .)
     lacks.  Each step runs GMRES on the Jacobian D^2/2 + g' D bordered by
-    the constraint, preconditioned by the sparse LU of the bordered Doob
-    transform diag(1/F) (A - lam I) diag(F) of the stencil A.  Raises
-    NonConvergence if max|R| > roundoff_bound(n) max(1, |lam|) once it fails
-    to halve.
+    the constraint, preconditioned by the sparse LU of the bordered
+    doob_generator.  Raises NonConvergence if max|R| > roundoff_bound(n)
+    max(1, |lam|) once it fails to halve.
     """
-    grid, F, lam = V.grid, solution.eigenfunction.values, solution.eigenvalue
+    grid, lam = V.grid, solution.eigenvalue
     n = grid.n
-    doob = (sp.diags_array(1.0 / F) @ (build_generator(V).matrix
-            - lam * sp.eye_array(n)) @ sp.diags_array(F))
-    lu = splu(sp.bmat([[doob, -np.ones((n, 1))],
+    lu = splu(sp.bmat([[doob_generator(solution, V), -np.ones((n, 1))],
                        [np.full((1, n), grid.h), None]], format="csc"))
     # The bordered Jacobian at the current iterate, whose drift the loop sets.
     system = LinearOperator((n + 1, n + 1), lambda z: np.append(
         0.5 * _derivative_values(z[:n], 2) - z[n]
         + drift * _derivative_values(z[:n], 1), grid.h * z[:n].sum()), dtype=float)
     inverse = LinearOperator((n + 1, n + 1), lu.solve, dtype=float)
-    g = np.log(F)
+    g = np.log(solution.eigenfunction.values)
     g, best = g - g.mean(), (np.inf, None, lam)
     for _ in range(_NEWTON_STEPS):
         drift = _derivative_values(g, 1)

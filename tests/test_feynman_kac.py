@@ -2,15 +2,20 @@ import hypothesis
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+from scipy.linalg import expm
 
-from fk_thermo import (GridFunction, HarmonicSpec, McConfig, PropagatorConfig,
-                       WeightOverflow, build_generator, check_selfadjoint, gibbs_density,
-                       integrate, make_grid, propagate_mc, propagate_pde)
+from fk_thermo import (GridFunction, HarmonicSpec, McConfig, NonConvergence,
+                       PropagatorConfig, WeightOverflow, check_selfadjoint,
+                       gibbs_density, integrate, make_grid, propagate_mc,
+                       propagate_pde)
 from fk_thermo.feynman_kac import propagate_pde_many
 
 from conftest import random_harmonic
+from oracles import dense_semigroup, fd_operator
+
+
+def max_rel(u, ref):
+    return float(np.max(np.abs(u - ref)) / np.max(np.abs(ref)))
 
 
 def const_fn(grid, c):
@@ -77,22 +82,35 @@ class TestPropagatePde:
             assert np.max(rate) <= np.max(V.values) + 1e-8
 
     def test_dt_cap_enforced(self, grid512):
+        # dt = 0.6 is above 2 / max(V) = 0.5, which bounds nothing here: the
+        # route reads only t, and e^{4 t} comes out to roundoff.
         V = const_fn(grid512, 4.0)
-        with pytest.raises(ValueError, match="cap"):
-            propagate_pde(V, const_fn(grid512, 1.0), PropagatorConfig(t=0.6, dt=0.6))
+        u = propagate_pde(V, const_fn(grid512, 1.0), PropagatorConfig(t=0.6, dt=0.6))
+        assert max_rel(u.values, np.exp(2.4)) < 1e-14
+        ref = dense_semigroup(fd_operator(512, "4"), np.ones(512), 0.6)
+        assert max_rel(u.values, ref) < 1e-10
 
     @pytest.mark.parametrize("below", [False, True], ids=["at_cap", "below_cap"])
     def test_dt_cap_boundary(self, grid512, below):
+        # At and just below dt = 2 / max(V), the state is exp(t A) 1.
         V = HarmonicSpec(harmonics=[(1, 4.0, 0.0)]).sample(grid512)
         cap = 2.0 / np.max(V.values)
         assert cap == 0.5
         dt = float(np.nextafter(cap, 0.0)) if below else cap
-        cfg = PropagatorConfig(t=dt, dt=dt)
-        if below:
-            assert np.all(np.isfinite(propagate_pde(V, const_fn(grid512, 1.0), cfg).values))
-        else:
-            with pytest.raises(ValueError, match="cap"):
-                propagate_pde(V, const_fn(grid512, 1.0), cfg)
+        u = propagate_pde(V, const_fn(grid512, 1.0), PropagatorConfig(t=dt, dt=dt))
+        ref = dense_semigroup(fd_operator(512, "4cos1"), np.ones(512), dt)
+        assert max_rel(u.values, ref) < 1e-10
+
+    @pytest.mark.parametrize("potential, harmonics", [
+        ("cos1+halfsin2", [(1, 1.0, 0.0), (2, 0.0, 0.5)]),
+        ("100cos1", [(1, 100.0, 0.0)]),
+    ])
+    def test_matches_dense_exponential(self, grid512, potential, harmonics):
+        V = HarmonicSpec(harmonics=harmonics).sample(grid512)
+        f = HarmonicSpec(constant=1.0, harmonics=[(1, 0.0, 0.5), (3, 0.2, 0.1)]).sample(grid512)
+        u = propagate_pde(V, f, PropagatorConfig(t=0.5, dt=1e-3))
+        ref = dense_semigroup(fd_operator(512, potential), f.values, 0.5)
+        assert max_rel(u.values, ref) < 1e-9
 
     def test_grid_mismatch_rejected(self, grid512):
         other = make_grid(256)
@@ -116,7 +134,7 @@ class TestPropagatePdeMany:
         V = GridFunction(grid, rng.uniform(-2.0, 2.0, n))
         fs = [GridFunction(grid, rng.uniform(-1.0, 1.0, n)) for _ in range(m)]
         horizons = [k * dt for k in steps]
-        out = propagate_pde_many(V, fs, horizons, dt)
+        out = propagate_pde_many(V, fs, horizons)
         assert list(out) == sorted(set(horizons))
         for t, columns in out.items():
             assert len(columns) == m
@@ -124,42 +142,58 @@ class TestPropagatePdeMany:
                 alone = propagate_pde(V, f, PropagatorConfig(t=t, dt=dt))
                 assert np.array_equal(u.values, alone.values)
 
-    def test_one_column_is_the_one_dimensional_march(self, vcos512):
-        # The increment-form step on a 1-D state, written out: the kernel's
-        # (n, 1) stack reproduces it bit for bit.
+    def test_one_column_is_the_dense_exponential(self, vcos512):
+        # One column of a many-function call is exp(0.3 A) f, as dense Pade
+        # expm of the same stencil gives it.
         f = HarmonicSpec(constant=1.0, harmonics=[(1, 0.0, 0.5)]).sample(vcos512.grid)
-        dt = 1e-3
-        A = build_generator(vcos512).matrix
-        lu = splu((sp.eye_array(vcos512.grid.n) - 0.5 * dt * A).tocsc())
-        u = f.values.copy()
-        for _ in range(300):
-            u += lu.solve(dt * (A @ u))
-        only = propagate_pde_many(vcos512, [f], [0.3], dt)[0.3][0]
-        assert np.array_equal(only.values, u)
+        only = propagate_pde_many(vcos512, [f, const_fn(vcos512.grid, 1.0)], [0.3])[0.3][0]
+        ref = dense_semigroup(fd_operator(512, "cos1"), f.values, 0.3)
+        assert max_rel(only.values, ref) < 1e-10
+
+    def test_eigenfunction_breaks_down_early(self, vcos512, eig_cos512, monkeypatch):
+        # F spans an invariant subspace up to its residual: a handful of
+        # Arnoldi steps, each with one small exponential, reach it.
+        calls = []
+
+        def counting_expm(x):
+            calls.append(x.shape[0])
+            return expm(x)
+
+        monkeypatch.setattr("fk_thermo.feynman_kac.expm", counting_expm)
+        propagate_pde_many(vcos512, [eig_cos512.eigenfunction], [0.5])
+        assert len(calls) <= 4
+
+    def test_dimension_cap_raises_nonconvergence(self, vcos512, monkeypatch):
+        monkeypatch.setattr("fk_thermo.feynman_kac._KRYLOV_DIM", 3)
+        rough = GridFunction(vcos512.grid, np.random.default_rng(7).uniform(-1, 1, 512))
+        with pytest.raises(NonConvergence, match=r"^shift-invert Krylov at t=0\.5: "
+                                                 r"the last two of 3 dimensions"):
+            propagate_pde_many(vcos512, [rough], [0.5])
 
     def test_checks_every_function_and_horizon(self, grid512, vcos512):
         f = const_fn(grid512, 1.0)
         with pytest.raises(ValueError, match="different grids"):
-            propagate_pde_many(vcos512, [f, const_fn(make_grid(256), 1.0)], [0.1], 1e-3)
-        with pytest.raises(ValueError, match="not an integer number"):
-            propagate_pde_many(vcos512, [f], [0.1, 0.15005], 1e-3)
-        with pytest.raises(ValueError, match="dt must be positive"):
-            propagate_pde_many(vcos512, [f], [0.1], -1e-3)
+            propagate_pde_many(vcos512, [f, const_fn(make_grid(256), 1.0)], [0.1])
+        for t in (0.0, -0.1, float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="horizon must be positive and finite"):
+                propagate_pde_many(vcos512, [f], [0.1, t])
 
     @pytest.mark.parametrize("f", ["one", "wave"])
     def test_overflowing_state_names_its_horizon(self, grid512, f):
-        # At dt=1e-3 each step multiplies by (1 + 0.5) / (1 - 0.5) = 3 for
-        # V = 1000: 3^500 is finite at t=0.5 and 3^1000 overflows by t=1.
-        # No RuntimeWarning leaks on the way.
+        # Under V = 1000 the state grows by e^{1000 t}: finite at t=0.5, and
+        # past the largest double by t=1.  No RuntimeWarning leaks on the way.
         V = const_fn(grid512, 1000.0)
         g = (const_fn(grid512, 1.0) if f == "one" else
              HarmonicSpec(constant=1.0, harmonics=[(1, 0.5, 0.0)]).sample(grid512))
-        assert np.isfinite(propagate_pde_many(V, [g], [0.5], 1e-3)[0.5][0].values).all()
-        with pytest.raises(WeightOverflow, match=r"^the Crank-Nicolson state at "
-                                                 r"t=1\.0 is not finite: 1000 steps "
-                                                 r"of dt=0\.001 grow it by up to "
-                                                 r"exp\(1098\.61\), "):
-            propagate_pde_many(V, [g], [0.5, 1.0], 1e-3)
+        # the stencil's k = 1 eigenvalue is -2 n^2 sin^2(pi/n)
+        decay = np.exp(-0.5 * 2 * 512**2 * np.sin(np.pi / 512) ** 2)
+        wave = (g.values - 1.0) * (decay if f == "wave" else 0.0)
+        half = propagate_pde_many(V, [g], [0.5])[0.5][0].values
+        assert max_rel(half, np.exp(500.0) * (1.0 + wave)) < 1e-13
+        with pytest.raises(WeightOverflow, match=r"^the propagated state at t=1\.0 "
+                                                 r"is not finite \(exp overflows "
+                                                 r"above 709\.78\)$"):
+            propagate_pde_many(V, [g], [0.5, 1.0])
 
 
 class TestPropagateMc:
@@ -196,16 +230,23 @@ class TestPropagateMc:
 
     @pytest.mark.parametrize("c, f, overflows", [
         (1000.0, "one", "estimate inf, standard error nan"),
-        (700.0, "wave", "standard error inf"),
     ])
     def test_overflowing_weights_raise(self, grid512, c, f, overflows):
-        # exp(1000) overflows every weight; exp(700) is finite, but squared
-        # deviations of 1e304 are not.  No RuntimeWarning leaks either way.
+        # exp(1000) overflows every weight.  No RuntimeWarning leaks.
         g = (const_fn(grid512, 1.0) if f == "one" else
              HarmonicSpec(constant=1.0, harmonics=[(1, 0.5, 0.0)]).sample(grid512))
         with pytest.raises(WeightOverflow, match=overflows):
             propagate_mc(const_fn(grid512, c), g, 0.3,
                          McConfig(n_paths=100, dt=1e-3, seed=1), 1.0)
+
+    def test_spread_finite_weights_have_a_finite_error(self, grid512):
+        # Values near 1e304 spread by their own size: their squared
+        # deviations overflow unless they are scaled first.
+        g = HarmonicSpec(constant=1.0, harmonics=[(1, 0.5, 0.0)]).sample(grid512)
+        est, se = propagate_mc(const_fn(grid512, 700.0), g, 0.3,
+                               McConfig(n_paths=100, dt=1e-3, seed=1), 1.0)
+        assert 1e303 < est < 1.5 * np.exp(700.0)
+        assert 1e-3 < se / est < 0.5
 
     def test_largest_finite_weights_pass(self, grid512):
         est, se = propagate_mc(const_fn(grid512, 700.0), const_fn(grid512, 1.0),

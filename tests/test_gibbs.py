@@ -11,6 +11,7 @@ from fk_thermo.gibbs import bin_density, drift_weight_integrand, histogram_densi
 from fk_thermo.mc import sample_from_density
 
 from conftest import random_harmonic
+from oracles import dense_semigroup, fd_operator
 
 
 def zero_fn(grid):
@@ -56,6 +57,21 @@ class TestNormalizedSemigroup:
             f = random_harmonic(vcos512.grid, rng)
             moved = normalized_semigroup(eig_cos512, vcos512, f, 0.5, 1e-3)
             assert abs(integrate(moved * density) - integrate(f * density)) < 1e-7
+
+    @pytest.mark.parametrize("a, t", [(100.0, 0.5), (1000.0, 0.1)])
+    def test_matches_dense_doob_exponential(self, a, t):
+        # At a = 1000 the tail of F falls to 5e-9 of its peak; there too a
+        # Markov semigroup keeps f's values, in [1, 3], at every node.
+        grid = make_grid(1024)
+        V = HarmonicSpec(harmonics=[(1, a, 0.0)]).sample(grid)
+        sol = principal_eigenpair(build_generator(V))
+        F, lam = sol.eigenfunction.values, sol.eigenvalue
+        doob = (fd_operator(1024, f"{a:g}cos1") - lam * np.eye(1024)) * F / F[:, None]
+        f = HarmonicSpec(constant=2.0, harmonics=[(1, 0.0, 0.5), (3, 0.4, 0.0)]).sample(grid)
+        out = normalized_semigroup(sol, V, f, t, 1e-3).values
+        ref = dense_semigroup(doob, f.values, t)
+        assert np.max(np.abs(out - ref)) <= 1e-9 * np.max(np.abs(ref))
+        assert 1.0 <= out.min() and out.max() <= 3.0
 
 
 class TestGenerator:

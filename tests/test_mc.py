@@ -152,6 +152,18 @@ def test_step_count_shared_by_paths_and_propagation(T, dt, steps):
         PropagatorConfig(t=T, dt=dt)
 
 
+def test_mean_and_se_squares_at_the_scale_of_the_values():
+    # Deviations of 1e301 square past the largest double unless scaled
+    # first; copies of one value have standard error 0, not ulps of it.
+    x = np.random.default_rng(3).standard_normal(50)
+    mean, se = mc.mean_and_se(x)
+    big_mean, big_se = mc.mean_and_se(x * 2.0**1000)
+    assert big_mean == mean * 2.0**1000
+    assert big_se == pytest.approx(se * 2.0**1000, rel=1e-14)
+    assert mc.mean_and_se(np.full(100, 3.8e260)) == (float(np.full(100, 3.8e260).mean()), 0.0)
+    assert mc.mean_and_se(np.zeros(3)) == (0.0, 0.0)
+
+
 @pytest.mark.parametrize("dt", [0.0, -0.0, float("nan")])
 def test_step_count_rejects_non_positive_dt(dt):
     with pytest.raises(ValueError, match="dt must be positive"):
