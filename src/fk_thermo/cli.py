@@ -194,13 +194,20 @@ def run_verify(cfg: RunConfig, perturb_eigenvalue: float = 0.0):
     fs = [random_harmonic() for _ in range(9)]
 
     # Self-adjointness of the propagator in the flat inner product.
-    sweep = propagate_pde_many(V, fs[:6], (0.1, 0.5))
+    F = sol.eigenfunction
+    sweep = propagate_pde_many(V, fs[:6] + [F], (0.1, 0.5))
     worst = 0.0
     for i in (0, 2, 4):
         for t in (0.1, 0.5):
             (f, g), (pf, pg) = fs[i:i + 2], sweep[t][i:i + 2]
             worst = max(worst, abs(integrate(pf * g) - integrate(f * pg)))
     record("selfadjoint_residual", worst, 1e-9)
+
+    # The flat propagator against the eigenpair: P_t F = e^{lambda t} F,
+    # node by node.
+    grown = np.exp(0.5 * lam) * F.values
+    record("eigen_identity",
+           float(np.max(np.abs(sweep[0.5][6].values - grown) / grown)), 1e-8)
 
     # The normalized semigroup fixes constants; in the Doob frame, as in
     # normalized_semigroup.

@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .feynman_kac import PropagatorConfig, exp_action
+from .feynman_kac import PropagatorConfig, propagate_pde
 from .grid import GridFunction, derivative, integrate
 from .mc import McConfig, PathEnsemble, simulate_paths
-from .spectral import EigenSolution, doob_generator, gibbs_density, laplacian_half
+from .spectral import EigenSolution, gibbs_density, laplacian_half
 
 __all__ = [
     "normalized_semigroup",
@@ -38,15 +38,10 @@ def normalized_semigroup(solution: EigenSolution, V: GridFunction,
                          f: GridFunction, t: float, dt: float) -> GridFunction:
     """Doob-normalized semigroup exp(t L) f, L = doob_generator(solution, V).
 
-    This is P_t(F f) / (e^{lambda t} F), computed in the frame where L 1 = 0,
-    so the tail of F is as accurate as the bulk.  dt only has to divide t,
-    as in PropagatorConfig.
+    propagate_pde in the Doob frame; dt only has to divide t, as in
+    PropagatorConfig.
     """
-    PropagatorConfig(t=t, dt=dt)
-    if f.grid != V.grid:
-        raise ValueError("potential and function on different grids")
-    return GridFunction(f.grid, exp_action(doob_generator(solution, V),
-                                           [f.values], [t])[t][0])
+    return propagate_pde(V, f, PropagatorConfig(t=t, dt=dt), eigenpair=solution)
 
 
 def generator_apply(solution: EigenSolution, f: GridFunction) -> GridFunction:

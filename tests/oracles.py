@@ -17,6 +17,8 @@ _POTENTIALS = {
     "4cos1": lambda x: 4.0 * np.cos(2 * np.pi * x),
     "100cos1": lambda x: 100.0 * np.cos(2 * np.pi * x),
     "1000cos1": lambda x: 1000.0 * np.cos(2 * np.pi * x),
+    "1000cos20": lambda x: 1000.0 * np.cos(40 * np.pi * x),
+    "3000cos30": lambda x: 3000.0 * np.cos(60 * np.pi * x),
 }
 
 
@@ -33,8 +35,11 @@ def richardson_eigenvalue(potential: str) -> float:
     return fine + (fine - coarse) / 3.0
 
 
-def fd_operator(n: int, potential: str) -> np.ndarray:
-    """Dense periodic stencil operator f''/2 + V f, assembled inline."""
+def fd_operator(n: int, potential) -> np.ndarray:
+    """Dense periodic stencil operator f''/2 + V f, assembled inline.
+
+    potential is a name in _POTENTIALS or the n node values of V.
+    """
     h = 1.0 / n
     x = np.arange(n) / n
     idx = np.arange(n)
@@ -43,7 +48,8 @@ def fd_operator(n: int, potential: str) -> np.ndarray:
     mat[idx, (idx + 1) % n] = 1.0
     mat[idx, (idx - 1) % n] = 1.0
     mat *= 0.5 / h**2
-    mat[idx, idx] += _POTENTIALS[potential](x)
+    mat[idx, idx] += (_POTENTIALS[potential](x) if isinstance(potential, str)
+                      else potential)
     return mat
 
 

@@ -135,7 +135,7 @@ def test_criterion_07_reversibility(vcos512):
             f = random_harmonic(vcos512.grid, rng)
             g = random_harmonic(vcos512.grid, rng)
             for t in (0.1, 0.5):
-                assert check_selfadjoint(vcos512, f, g, t, 1e-3) <= 1e-9
+                assert check_selfadjoint(vcos512, f, g, t) <= 1e-9
 
 
 def test_criterion_08_gibbs_invariance(vcos512, eig_cos512):

@@ -15,7 +15,7 @@ import fk_thermo.mc as mc
 from fk_thermo import __version__, cli
 from fk_thermo.cli import main, run_verify
 from fk_thermo.config import ConfigError, parse_config
-from fk_thermo.grid import HarmonicSpec
+from fk_thermo.grid import HarmonicSpec, function_from_csv, make_grid
 from fk_thermo.serialize import _BLOCK_ROWS, format_number, write_csv, write_json
 from fk_thermo.spectral import NumericalFailure
 
@@ -554,6 +554,26 @@ class TestCliCommands:
         assert report["value"] == pytest.approx(float(np.interp(
             report["x"], np.arange(513) / 512, np.append(ref, ref[0]))), rel=1e-9)
 
+    def test_rough_csv_data_pde_matches_dense_exponential(self, tmp_path, capsys):
+        # Node-by-node noise in both V and the initial function, at a short
+        # horizon where the high modes have not died out: the hardest data
+        # for the Krylov route's dimension count.
+        rng = np.random.default_rng(26)
+        x = np.arange(512) / 512
+        for name, values in (("pot.csv", rng.uniform(-100.0, 100.0, 512)),
+                             ("g.csv", rng.standard_normal(512))):
+            (tmp_path / name).write_text("x,value\n" + "".join(
+                f"{xi!r},{vi!r}\n" for xi, vi in zip(x.tolist(), values.tolist())))
+        assert main(["propagate", "--grid.n=512", f"--potential.csv={tmp_path / 'pot.csv'}",
+                     f"--g.csv={tmp_path / 'g.csv'}", "--run.t=0.001",
+                     f"--run.out={tmp_path}"]) == 0
+        assert capsys.readouterr().err == ""
+        grid = make_grid(512)
+        V, f = (function_from_csv(str(tmp_path / name), grid) for name in ("pot.csv", "g.csv"))
+        u = np.loadtxt(tmp_path / "propagate.csv", delimiter=",", skiprows=1)[:, 1]
+        ref = dense_semigroup(fd_operator(512, V.values), f.values, 0.001)
+        assert np.max(np.abs(u - ref)) <= 1e-9 * np.max(np.abs(ref))
+
     def test_any_numerical_failure_exits_3(self, tmp_path, capsys, monkeypatch):
         class Unresolved(NumericalFailure):
             pass
@@ -684,7 +704,7 @@ class TestVerify:
         assert code == 0
         assert {c["name"] for c in checks} == {
             "eigen_shift_lambda", "eigen_shift_vector", "selfadjoint_residual",
-            "stochastic_unit", "gibbs_stationarity", "entropy_sign",
+            "eigen_identity", "stochastic_unit", "gibbs_stationarity", "entropy_sign",
             "pressure_decomposition", "martingale_mean",
         }
         assert all(c["pass"] for c in checks)
@@ -734,15 +754,16 @@ class TestVerify:
 
     @pytest.mark.parametrize("a", [10, 30, 100])
     def test_doob_frame_checks_pass_at_large_amplitude(self, a):
-        # Only these two records: at a = 100 selfadjoint_residual (an
-        # absolute tolerance) and martingale_mean (a collapsed ESS) fail
-        # for reasons of their own.
+        # The Doob-frame records and the flat frame's eigen identity only: at
+        # a = 100 selfadjoint_residual (an absolute tolerance) and
+        # martingale_mean (a collapsed ESS) fail for reasons of their own.
         cfg = parse_config(f"[grid]\nn = 512\n[potential]\nharmonics = [[1, {a}, 0]]\n"
                            "[run]\npaths = 200\n")
         _, checks = run_verify(cfg)
         by_name = {c["name"]: c for c in checks}
         assert by_name["stochastic_unit"]["pass"]
         assert by_name["gibbs_stationarity"]["pass"]
+        assert by_name["eigen_identity"]["pass"]
 
     def test_single_path(self, tmp_path):
         # One path has no spread to estimate: its standard error is 0.
