@@ -27,14 +27,13 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, RunConfig, parse_config
-from .feynman_kac import (PropagatorConfig, exp_action, propagate_mc, propagate_pde,
-                          propagate_pde_many)
+from .feynman_kac import propagate_mc, propagate_pde_many
 from .gibbs import bin_density, histogram_density, rn_weights, simulate_sde, tv_distance
 from .grid import GridFunction, HarmonicSpec, function_from_csv, integrate
 from .mc import McConfig, mean_and_se
 from .serialize import write_csv, write_json
 from .spectral import (NumericalFailure, build_generator, critical_point_count,
-                       doob_generator, gibbs_density, principal_eigenpair)
+                       gibbs_density, principal_eigenpair)
 from .thermo import (admissible_from_eigen, admissible_from_values,
                      entropy_report, maximize_pressure, pressure_decomposition,
                      relative_entropy)
@@ -73,7 +72,7 @@ def cmd_propagate(cfg: RunConfig):
     report = {"method": cfg.method, "t": cfg.t, "dt": cfg.dt, "n": grid.n,
               "x": cfg.x}
     if cfg.method == "pde":
-        u = propagate_pde(V, f, PropagatorConfig(t=cfg.t, dt=cfg.dt))
+        [u] = propagate_pde_many(V, [f], [cfg.t])[cfg.t]
         tables["propagate.csv"] = (["x", "u"], [grid.nodes, u.values])
         report["value"] = float(u.interp(cfg.x))
     else:
@@ -211,18 +210,17 @@ def run_verify(cfg: RunConfig, perturb_eigenvalue: float = 0.0):
 
     # The normalized semigroup fixes constants; in the Doob frame, as in
     # normalized_semigroup.
-    doob = doob_generator(sol, V)
-    unit = exp_action(doob, [np.ones(grid.n)], (0.1, 0.5, 1.0))
-    worst = max(float(np.max(np.abs(u - 1.0))) for [u] in unit.values())
+    ones = GridFunction(grid, np.ones(grid.n))
+    unit = propagate_pde_many(V, [ones], (0.1, 0.5, 1.0), eigenpair=sol)
+    worst = max(float(np.max(np.abs(u.values - 1.0))) for [u] in unit.values())
     record("stochastic_unit", worst, 1e-8)
 
     # Stationarity of the eigen-density under the normalized semigroup.
     density = gibbs_density(sol)
     worst = 0.0
-    moved = exp_action(doob, [f.values for f in fs[6:]], [0.5])[0.5]
+    moved = propagate_pde_many(V, fs[6:], [0.5], eigenpair=sol)[0.5]
     for f, u in zip(fs[6:], moved):
-        worst = max(worst, abs(integrate(GridFunction(grid, u) * density)
-                               - integrate(f * density)))
+        worst = max(worst, abs(integrate(u * density) - integrate(f * density)))
     record("gibbs_stationarity", worst, 1e-7)
 
     # Entropy rates never positive.

@@ -1,12 +1,15 @@
 """Weighted heat semigroup: deterministic propagation and path-integral sampling.
 
 The semigroup applies exp(t(D/2 + V)) to a function.  Two independent routes
-are provided: shift-invert Krylov (exp_action: one sparse LU per horizon,
-then a small Arnoldi basis per function, exact in time to about 1e-13 of the
-result), and a Monte-Carlo average of exp(integral of V along a Brownian
-path) times the terminal value.  Their agreement (and the self-adjointness
-of the propagator for the flat measure) is what the verification suite
-leans on.
+are provided: shift-invert Krylov (one sparse LU per horizon, then a small
+Arnoldi basis per function, exact in time to about 1e-13 of the result), and
+a Monte-Carlo average of exp(integral of V along a Brownian path) times the
+terminal value.  Their agreement (and the self-adjointness of the propagator
+for the flat measure) is what the verification suite leans on.
+
+propagate_pde_many alone picks the frame the Krylov kernel runs in: the flat
+stencil of V - max(V, 0), or, given V's principal eigenpair, the Doob
+generator, which applies the normalized Gibbs semigroup instead.
 """
 
 from __future__ import annotations
@@ -24,8 +27,8 @@ from .mc import McConfig, mean_and_se, simulate_paths, step_count
 from .spectral import (EigenSolution, NonConvergence, NumericalFailure, build_generator,
                        doob_generator)
 
-__all__ = ["PropagatorConfig", "exp_action", "propagate_pde", "propagate_pde_many",
-           "propagate_mc", "check_selfadjoint", "WeightOverflow"]
+__all__ = ["PropagatorConfig", "propagate_pde", "propagate_pde_many", "propagate_mc",
+           "check_selfadjoint", "WeightOverflow"]
 
 
 class WeightOverflow(NumericalFailure):
@@ -113,7 +116,7 @@ def _krylov_exp(resolvent, b: np.ndarray, t: float, gamma: float,
                          f"the result")
 
 
-def exp_action(matrix: sp.csr_array, vectors, horizons, shift: float = 0.0) -> dict:
+def _exp_action(matrix: sp.csr_array, vectors, horizons, shift: float) -> dict:
     """{t: [exp(t (matrix + shift I)) v, ...]} for each distinct horizon t, ascending.
 
     matrix is a stencil whose spectrum lies at or left of 0 (D/2 + V -
@@ -141,35 +144,31 @@ def exp_action(matrix: sp.csr_array, vectors, horizons, shift: float = 0.0) -> d
     return out
 
 
-def propagate_pde_many(V: GridFunction, functions, horizons) -> dict:
+def propagate_pde_many(V: GridFunction, functions, horizons,
+                       eigenpair: EigenSolution | None = None) -> dict:
     """exp(t (D/2 + V)) of each function: {t: [u(t), ...]}, t ascending.
 
-    exp_action on the stencil of V - c, scaled back by e^{c t}, c = max(V, 0);
-    raises WeightOverflow if a state is not finite.
+    The stencil of V - c, scaled back by e^{c t}, c = max(V, 0).  Given V's
+    principal eigenpair (lambda, F), the Doob-normalized semigroup exp(t L) f
+    instead, L = doob_generator(eigenpair, V): that is P_t(F f) / (e^{lambda
+    t} F), computed in the frame where L 1 = 0, so the tail of F is as
+    accurate as the bulk.  Raises WeightOverflow if a state is not finite.
     """
     if any(f.grid != V.grid for f in functions):
         raise ValueError("potential and initial condition on different grids")
-    c = max(float(np.max(V.values)), 0.0)
-    states = exp_action(build_generator(V - c).matrix,
-                        [f.values for f in functions], horizons, shift=c)
+    if eigenpair is None:
+        c = max(float(np.max(V.values)), 0.0)
+        matrix = build_generator(V - c).matrix
+    else:
+        c, matrix = 0.0, doob_generator(eigenpair, V)
+    states = _exp_action(matrix, [f.values for f in functions], horizons, shift=c)
     return {t: [GridFunction(V.grid, u) for u in us] for t, us in states.items()}
 
 
 def propagate_pde(V: GridFunction, f: GridFunction, cfg: PropagatorConfig,
                   eigenpair: EigenSolution | None = None) -> GridFunction:
-    """Solution of u' = (D/2 + V) u at time cfg.t, from u(0) = f.
-
-    Given V's principal eigenpair (lambda, F), the Doob-normalized semigroup
-    exp(t L) f instead, L = doob_generator(eigenpair, V): that is P_t(F f) /
-    (e^{lambda t} F), computed in the frame where L 1 = 0, so the tail of F
-    is as accurate as the bulk.
-    """
-    if eigenpair is None:
-        return propagate_pde_many(V, [f], [cfg.t])[cfg.t][0]
-    if f.grid != V.grid:
-        raise ValueError("potential and function on different grids")
-    return GridFunction(f.grid, exp_action(doob_generator(eigenpair, V),
-                                           [f.values], [cfg.t])[cfg.t][0])
+    """propagate_pde_many of the one function f at the one horizon cfg.t."""
+    return propagate_pde_many(V, [f], [cfg.t], eigenpair)[cfg.t][0]
 
 
 def propagate_mc(V: GridFunction, f: GridFunction, x: float, cfg: McConfig,

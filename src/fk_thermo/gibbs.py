@@ -3,7 +3,8 @@
 Dividing the weighted heat semigroup by its principal eigenpair yields a
 stochastic semigroup fixing constants; its generator is a Brownian motion
 with drift equal to the log-gradient of the eigenfunction.  This module
-applies that semigroup by shift-invert Krylov on the Doob generator
+applies that semigroup through feynman_kac.propagate_pde given the
+eigenpair, which runs its shift-invert Krylov kernel on the Doob generator
 diag(1/F) (A - lambda I) diag(F) (no division by F after the fact), realizes
 the process by Euler simulation, checks invariance of the
 eigen-density, and computes the two Radon-Nikodym path weights (eigen form
@@ -38,8 +39,8 @@ def normalized_semigroup(solution: EigenSolution, V: GridFunction,
                          f: GridFunction, t: float, dt: float) -> GridFunction:
     """Doob-normalized semigroup exp(t L) f, L = doob_generator(solution, V).
 
-    propagate_pde in the Doob frame; dt only has to divide t, as in
-    PropagatorConfig.
+    propagate_pde given the eigenpair, exact in time: dt only has to
+    divide t, as in PropagatorConfig, and is otherwise not read.
     """
     return propagate_pde(V, f, PropagatorConfig(t=t, dt=dt), eigenpair=solution)
 

@@ -574,6 +574,20 @@ class TestCliCommands:
         ref = dense_semigroup(fd_operator(512, V.values), f.values, 0.001)
         assert np.max(np.abs(u - ref)) <= 1e-9 * np.max(np.abs(ref))
 
+    def test_pde_horizon_need_not_be_whole_dt_steps(self, tmp_path, capsys):
+        # The Krylov route is exact in time and reads no dt; the Monte-Carlo
+        # route steps by dt, so its horizon must be a whole number of steps.
+        args = ["propagate", "--grid.n=64", "--potential.harmonics=[[1,1,0]]",
+                "--run.t=0.15005"]
+        assert main([*args, f"--run.out={tmp_path / 'pde'}"]) == 0
+        assert capsys.readouterr().err == ""
+        u = np.loadtxt(tmp_path / "pde" / "propagate.csv", delimiter=",", skiprows=1)[:, 1]
+        ref = dense_semigroup(fd_operator(64, "cos1"), np.ones(64), 0.15005)
+        assert np.max(np.abs(u - ref)) <= 1e-9 * np.max(np.abs(ref))
+        assert main([*args, "--run.method=mc", f"--run.out={tmp_path / 'mc'}"]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "fk-thermo: horizon 0.15005 is not an integer number of dt=0.001 steps"]
+
     def test_any_numerical_failure_exits_3(self, tmp_path, capsys, monkeypatch):
         class Unresolved(NumericalFailure):
             pass

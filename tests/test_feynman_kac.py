@@ -5,9 +5,9 @@ import pytest
 from scipy.linalg import expm
 
 from fk_thermo import (GridFunction, HarmonicSpec, McConfig, NonConvergence,
-                       PropagatorConfig, WeightOverflow, check_selfadjoint,
-                       gibbs_density, integrate, make_grid, propagate_mc,
-                       propagate_pde)
+                       PropagatorConfig, WeightOverflow, build_generator,
+                       check_selfadjoint, gibbs_density, integrate, make_grid,
+                       principal_eigenpair, propagate_mc, propagate_pde)
 from fk_thermo.feynman_kac import propagate_pde_many
 
 from conftest import random_harmonic
@@ -140,21 +140,26 @@ class TestPropagatePdeMany:
                       dt=st.sampled_from([1e-3, 5e-4, 1 / 1024]),
                       m=st.integers(1, 10),
                       steps=st.lists(st.integers(1, 120), min_size=1, max_size=3),
-                      seed=st.integers(0, 2**32 - 1))
-    def test_each_column_has_the_bits_of_its_own_run(self, n, dt, m, steps, seed):
+                      seed=st.integers(0, 2**32 - 1),
+                      doob=st.booleans())
+    def test_each_column_has_the_bits_of_its_own_run(self, n, dt, m, steps, seed,
+                                                     doob):
         # Horizons come in any order, duplicates included; the result is
-        # keyed by the distinct horizons in ascending order.
+        # keyed by the distinct horizons in ascending order.  The frame is
+        # the flat stencil or the Doob generator of V's eigenpair.
         rng = np.random.default_rng(seed)
         grid = make_grid(n)
         V = GridFunction(grid, rng.uniform(-2.0, 2.0, n))
+        eigenpair = principal_eigenpair(build_generator(V)) if doob else None
         fs = [GridFunction(grid, rng.uniform(-1.0, 1.0, n)) for _ in range(m)]
         horizons = [k * dt for k in steps]
-        out = propagate_pde_many(V, fs, horizons)
+        out = propagate_pde_many(V, fs, horizons, eigenpair=eigenpair)
         assert list(out) == sorted(set(horizons))
         for t, columns in out.items():
             assert len(columns) == m
             for f, u in zip(fs, columns):
-                alone = propagate_pde(V, f, PropagatorConfig(t=t, dt=dt))
+                alone = propagate_pde(V, f, PropagatorConfig(t=t, dt=dt),
+                                      eigenpair=eigenpair)
                 assert np.array_equal(u.values, alone.values)
 
     def test_one_column_is_the_dense_exponential(self, vcos512):
