@@ -1,11 +1,12 @@
 """Weighted heat semigroup: deterministic propagation and path-integral sampling.
 
 The semigroup applies exp(t(D/2 + V)) to a function.  Two independent routes
-are provided: shift-invert Krylov (one sparse LU per horizon, then a small
-Arnoldi basis per function, exact in time to about 1e-13 of the result), and
-a Monte-Carlo average of exp(integral of V along a Brownian path) times the
-terminal value.  Their agreement (and the self-adjointness of the propagator
-for the flat measure) is what the verification suite leans on.
+are provided: shift-invert Krylov (one O(n) tridiagonal factorization per
+horizon, then a small Arnoldi basis per function, exact in time to about
+1e-13 of the result), and a Monte-Carlo average of exp(integral of V along
+a Brownian path) times the terminal value.  Their agreement (and the
+self-adjointness of the propagator for the flat measure) is what the
+verification suite leans on.
 
 propagate_pde_many alone picks the frame the Krylov kernel runs in: the flat
 stencil of V - max(V, 0), or, given V's principal eigenpair, the Doob
@@ -20,12 +21,11 @@ from math import isfinite
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import expm, norm
-from scipy.sparse.linalg import splu
 
 from .grid import GridFunction, integrate
 from .mc import McConfig, mean_and_se, simulate_paths, step_count
-from .spectral import (EigenSolution, NonConvergence, NumericalFailure, build_generator,
-                       doob_generator)
+from .spectral import (EigenSolution, NonConvergence, NumericalFailure, _CyclicLU,
+                       build_generator, doob_generator)
 
 __all__ = ["PropagatorConfig", "propagate_pde", "propagate_pde_many", "propagate_mc",
            "check_selfadjoint", "WeightOverflow"]
@@ -121,12 +121,13 @@ def _exp_action(matrix: sp.csr_array, vectors, horizons, shift: float) -> dict:
 
     matrix is a stencil whose spectrum lies at or left of 0 (D/2 + V -
     max(V, 0), or a Doob generator), so I - gamma matrix, gamma = t/10, is a
-    nonsingular M-matrix.  One sparse LU of it serves every vector at
-    horizon t, and each vector has its own Krylov space, so each result has
-    the bits of its own one-vector run.  The LU is applied in increment form,
-    v + gamma LU^{-1} (matrix v), which keeps states the matrix annihilates
-    (constants for D/2) fixed to the last bit.  Raises WeightOverflow if a
-    result is not finite.
+    nonsingular M-matrix.  One _CyclicLU of it serves every vector at
+    horizon t: LDL^T factors in the symmetric flat frame, pivoted LU with a
+    refined border in the Doob frame.  Each vector has its own Krylov space,
+    so each result has the bits of its own one-vector run.  The factors are
+    applied in increment form, v + gamma (I - gamma matrix)^{-1} (matrix v),
+    which keeps states the matrix annihilates (constants for D/2) fixed to
+    the last bit.  Raises WeightOverflow if a result is not finite.
     """
     n = matrix.shape[0]
     out = {}
@@ -134,7 +135,7 @@ def _exp_action(matrix: sp.csr_array, vectors, horizons, shift: float) -> dict:
         if not 0.0 < t < np.inf:
             raise ValueError(f"horizon must be positive and finite, got {t}")
         gamma = t / 10.0
-        lu = splu((sp.eye_array(n) - gamma * matrix).tocsc())
+        lu = _CyclicLU(sp.eye_array(n, format="csr") - gamma * matrix)
         with np.errstate(over="ignore", invalid="ignore"):
             out[t] = [_krylov_exp(lambda v: v + lu.solve(gamma * (matrix @ v)),
                                   u, t, gamma, shift) for u in vectors]

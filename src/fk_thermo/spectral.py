@@ -3,11 +3,14 @@
 The generator-plus-potential operator is discretized as A = D/2 + diag(V)
 where D is the periodic second-difference stencil (1, -2, 1)/h^2 with
 wrap-around corners.  A is stored as a sparse matrix with 3n nonzeros and is
-exactly symmetric.  The top two eigenvalues come from shift-invert Lanczos
-(ARPACK) with the shift above the Gershgorin bound and the inverse applied by
-a sparse LU.  Inverse iteration on an unpivoted LU of the M-matrix shift - A
-then sweeps until no node of the Perron vector moves, which keeps its tail
-accurate node by node.  Every step costs O(n) time and memory.
+exactly symmetric.  Every shifted system the package solves is this cyclic
+tridiagonal shape, or it bordered by one constraint, and _CyclicLU factors
+each in O(n): LAPACK's tridiagonal factors of all but the last node, and a
+Schur complement for the rest.  The top two eigenvalues come from
+shift-invert Lanczos (ARPACK) with the shift above the Gershgorin bound.
+Inverse iteration on the LDL^T factors of the M-matrix shift - A then sweeps
+until no node of the Perron vector moves, which keeps its tail accurate node
+by node.  Every step costs O(n) time and memory.
 """
 
 from __future__ import annotations
@@ -18,7 +21,8 @@ from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
+from scipy.linalg import lapack
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .grid import GridFunction, PeriodicGrid, derivative, integrate
 
@@ -169,6 +173,93 @@ def inverse_iteration(solve: Callable[[np.ndarray], np.ndarray],
     return -v if v.mean() < 0 else v
 
 
+def _check_pivots(info: int, n: int) -> None:
+    if info != 0:
+        raise NumericalFailure(f"factoring a shifted {n}x{n} stencil: pivot {info} "
+                               f"is zero, or not positive in LDL^T")
+
+
+class _CyclicLU:
+    """Factors of a cyclic tridiagonal matrix M, optionally bordered by one
+    column and row border = (column, row), each of length n; solve(b) returns
+    M^{-1} b.
+
+    The nodes in cuts (by default the last one) and the border's unknown are
+    eliminated through their Schur complement S = M_kk - R W, W = T^{-1} C,
+    where T is M without them, plainly tridiagonal in cyclic order from the
+    node after the last cut, and C and R are M's columns and rows of the
+    eliminated unknowns restricted to T.  An exactly symmetric unbordered M
+    must be positive definite: T gets LAPACK's LDL^T (dpttrf), which makes no
+    row exchanges.  Any other T gets partially pivoted LU (dgttrf), and W one
+    step of iterative refinement: without it, solves with the companion's
+    bordered Doob generator had a backward error of tens of eps.
+    """
+
+    def __init__(self, matrix: sp.csr_array,
+                 border: tuple[np.ndarray, np.ndarray] | None = None,
+                 cuts=(-1,)) -> None:
+        n = matrix.shape[0]
+        d = matrix.diagonal()
+        right = np.concatenate([matrix.diagonal(1), matrix.diagonal(1 - n)])  # M[i, i+1]
+        left = np.concatenate([matrix.diagonal(n - 1), matrix.diagonal(-1)])  # M[i, i-1]
+        if sum(map(np.count_nonzero, (d, right, left))) != matrix.count_nonzero():
+            raise ValueError("matrix is not cyclic tridiagonal")
+        symmetric = (border is None and right[-1] == left[0]
+                     and np.array_equal(right[:-1], left[1:]))
+        cut = np.array(sorted({int(c) % n for c in cuts}))
+        kept = np.ones(n, dtype=bool)
+        kept[cut] = False
+        order = (np.arange(n) + cut[-1] + 1) % n
+        rest = order[kept[order]]
+        place = np.zeros(n, dtype=int)  # row in T of a kept node, slot in S of a cut one
+        place[rest], place[cut] = np.arange(rest.size), np.arange(cut.size)
+        m = cut.size + (border is not None)
+        C, R, S = np.zeros((rest.size, m)), np.zeros((m, rest.size)), np.zeros((m, m))
+        for q, c in enumerate(cut):
+            S[q, q] = d[c]
+            for j, into, out in ((c - 1, right[c - 1], left[c]),
+                                 ((c + 1) % n, left[(c + 1) % n], right[c])):
+                if kept[j]:
+                    C[place[j], q], R[q, place[j]] = into, out
+                else:
+                    S[q, place[j]] = out
+        if border is not None:
+            column, row = border
+            C[:, -1], R[-1], S[:-1, -1], S[-1, :-1] = column[rest], row[rest], column[cut], row[cut]
+        joined = rest[1:] == (rest[:-1] + 1) % n
+        d = d[rest]
+        up = np.where(joined, right[rest[:-1]], 0.0)
+        low = np.where(joined, left[rest[1:]], 0.0)
+        if symmetric:
+            factors = lapack.dpttrf(d, up)
+            self._t_solve = lambda b: lapack.dpttrs(*factors[:2], b)[0]
+        else:
+            factors = lapack.dgttrf(low, d, up)
+            self._t_solve = lambda b: lapack.dgttrs(*factors[:5], b)[0]
+        _check_pivots(factors[-1], n)
+        W = self._t_solve(C)
+        if not symmetric:
+            TW = d[:, None] * W
+            TW[:-1] += up[:, None] * W[1:]
+            TW[1:] += low[:, None] * W[:-1]
+            W += self._t_solve(C - TW)
+        self._R, self._W = R, W.T.copy()  # W by rows, for the solve's axpy
+        self._S = lapack.dgetrf(S - R @ W)
+        _check_pivots(self._S[-1], n)
+        # A slice when T is the leading block, so a solve gathers nothing.
+        self._rest = slice(0, rest.size) if rest[0] == 0 and cut[0] == rest.size else rest
+        self._cut = np.append(cut, n) if border is not None else cut
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        y = self._t_solve(b[self._rest])
+        last = lapack.dgetrs(*self._S[:2], b[self._cut] - self._R @ y)[0]
+        for c, w in zip(last, self._W):
+            y -= c * w
+        x = np.empty(b.size)
+        x[self._rest], x[self._cut] = y, last
+        return x
+
+
 def _top_two_eigenvalues(mat: sp.csr_array) -> np.ndarray:
     """Two largest eigenvalues, ascending, by shift-invert Lanczos.
 
@@ -180,8 +271,8 @@ def _top_two_eigenvalues(mat: sp.csr_array) -> np.ndarray:
     diag = mat.diagonal()
     bound = float(np.max(diag + abs(mat).sum(axis=1) - np.abs(diag)))
     sigma = bound + max(1.0, 1e-12 * abs(bound))
-    lu = splu((mat - sigma * sp.eye_array(n)).tocsc())
-    opinv = LinearOperator((n, n), matvec=lu.solve, dtype=float)
+    lu = _CyclicLU(sigma * sp.eye_array(n, format="csr") - mat)
+    opinv = LinearOperator((n, n), matvec=lambda b: -lu.solve(b), dtype=float)
     try:
         values = eigsh(mat, k=2, sigma=sigma, OPinv=opinv, v0=np.ones(n),
                        tol=0, return_eigenvectors=False)
@@ -191,7 +282,11 @@ def _top_two_eigenvalues(mat: sp.csr_array) -> np.ndarray:
 
 
 def principal_eigenpair(op: OperatorMatrix) -> EigenSolution:
-    """Top eigenvalue and positive eigenvector of a built generator."""
+    """Top eigenvalue and positive eigenvector of a built generator.
+
+    op.matrix must be cyclic tridiagonal, as build_generator makes it;
+    _CyclicLU raises ValueError on any other shape.
+    """
     grid = op.grid
     mat = op.matrix
     second, first = _top_two_eigenvalues(mat)
@@ -201,9 +296,9 @@ def principal_eigenpair(op: OperatorMatrix) -> EigenSolution:
             f"spectral gap {gap:.3e} is not resolvably positive"
         )
     shift = float(first) + 1e-8 * max(1.0, abs(float(first)))
-    # shift I - A is a nonsingular M-matrix: it factors stably unpivoted.
-    lu = splu((mat - shift * sp.eye_array(grid.n)).tocsc(),
-              diag_pivot_thresh=0.0)
+    # shift I - A is a nonsingular M-matrix: its LDL^T factors make no row
+    # exchanges, and a solve of a positive vector adds positive terms only.
+    lu = _CyclicLU(shift * sp.eye_array(grid.n, format="csr") - mat)
     vec = inverse_iteration(lu.solve, np.ones(grid.n))
     if np.any(vec <= 0.0):
         raise PositivityViolation(

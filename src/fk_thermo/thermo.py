@@ -25,13 +25,12 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import LinearOperator, gmres, splu
+from scipy.sparse.linalg import LinearOperator, gmres
 
 from .grid import (GridFunction, HarmonicSpec, _derivative_values, derivative,
                    integrate)
 from .mc import McConfig, mean_and_se, simulate_paths
-from .spectral import (EigenSolution, NonConvergence, NumericalFailure,
+from .spectral import (EigenSolution, NonConvergence, NumericalFailure, _CyclicLU,
                        doob_generator, roundoff_bound, stencil_excess)
 
 __all__ = [
@@ -116,6 +115,20 @@ def admissible_from_values(g: GridFunction) -> AdmissibleDrift:
                            density=GridFunction(grid, weights / mass))
 
 
+def _basin_peaks(F: np.ndarray) -> list:
+    """Nodes where F peaks in its basins: in each of up to 16 arcs of at
+    least 8 nodes, the largest F, kept where it is a local maximum of F.
+
+    The Doob process drifts up F, so with a Schur cut at each peak every
+    basin's escape time to a cut is short.  A deep basin left without one (a
+    symmetric double well) would leave the factored block as nearly singular
+    as the spectral gap, and the solves inconsistent enough to stall GMRES.
+    """
+    arcs = np.array_split(np.arange(F.size), max(1, min(16, F.size // 8)))
+    peaks = [arc[np.argmax(F[arc])] for arc in arcs]
+    return [i for i in peaks if F[i] >= max(F[i - 1], F[(i + 1) % F.size])]
+
+
 def admissible_from_eigen(solution: EigenSolution,
                           V: GridFunction) -> AdmissibleDrift:
     """Drift representation of the eigen-process, differentiation-consistent.
@@ -125,14 +138,15 @@ def admissible_from_eigen(solution: EigenSolution,
     eigenvalue, with the derivative D of admissible_from_values, so the
     drift's pressure is lam to roundoff; R drops the Nyquist mode D(D .)
     lacks.  Each step runs GMRES on the Jacobian D^2/2 + g' D bordered by
-    the constraint, preconditioned by the sparse LU of the bordered
-    doob_generator.  Raises NonConvergence if max|R| > roundoff_bound(n)
+    the constraint, preconditioned by the O(n) _CyclicLU of doob_generator
+    bordered by the -1 column and the h row of the constraint and cut at the
+    peaks of F.  Raises NonConvergence if max|R| > roundoff_bound(n)
     max(1, |lam|) once it fails to halve.
     """
     grid, lam = V.grid, solution.eigenvalue
     n = grid.n
-    lu = splu(sp.bmat([[doob_generator(solution, V), -np.ones((n, 1))],
-                       [np.full((1, n), grid.h), None]], format="csc"))
+    lu = _CyclicLU(doob_generator(solution, V), border=(-np.ones(n), np.full(n, grid.h)),
+                   cuts=_basin_peaks(solution.eigenfunction.values))
     # The bordered Jacobian at the current iterate, whose drift the loop sets.
     system = LinearOperator((n + 1, n + 1), lambda z: np.append(
         0.5 * _derivative_values(z[:n], 2) - z[n]

@@ -9,7 +9,6 @@ import hypothesis
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from scipy.sparse.linalg import splu
 
 import fk_thermo.mc as mc
 from fk_thermo import __version__, cli
@@ -17,7 +16,7 @@ from fk_thermo.cli import main, run_verify
 from fk_thermo.config import ConfigError, parse_config
 from fk_thermo.grid import HarmonicSpec, function_from_csv, make_grid
 from fk_thermo.serialize import _BLOCK_ROWS, format_number, write_csv, write_json
-from fk_thermo.spectral import NumericalFailure
+from fk_thermo.spectral import NumericalFailure, _CyclicLU
 
 from oracles import dense_semigroup, fd_operator
 
@@ -750,16 +749,16 @@ class TestVerify:
         assert all(c["pass"] for c in checks)
 
     def test_one_factorization_per_horizon_and_sweep(self, monkeypatch):
-        # One LU serves every function of a sweep at one horizon: the flat
-        # frame at t = 0.1, 0.5; the Doob frame at 0.1, 0.5, 1 for constants
-        # and at 0.5 for the stationarity check.
+        # One factorization serves every function of a sweep at one horizon:
+        # the flat frame at t = 0.1, 0.5; the Doob frame at 0.1, 0.5, 1 for
+        # constants and at 0.5 for the stationarity check.
         factored = []
 
-        def counting_splu(matrix):
+        def counting_lu(matrix):
             factored.append(matrix.shape)
-            return splu(matrix)
+            return _CyclicLU(matrix)
 
-        monkeypatch.setattr("fk_thermo.feynman_kac.splu", counting_splu)
+        monkeypatch.setattr("fk_thermo.feynman_kac._CyclicLU", counting_lu)
         cfg = parse_config(MINIMAL + "\n[run]\npaths = 200\n",
                            overrides=["--grid.n=64"])
         code, _ = run_verify(cfg)

@@ -2,6 +2,7 @@ import hypothesis
 import hypothesis.strategies as st
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackNoConvergence
 
 from fk_thermo import (DegenerateGap, GridFunction, HarmonicSpec,
@@ -9,7 +10,9 @@ from fk_thermo import (DegenerateGap, GridFunction, HarmonicSpec,
                        critical_point_count, derivative, eigen_probability,
                        gibbs_density, integrate, make_grid,
                        principal_eigenpair, spectral)
-from fk_thermo.spectral import OperatorMatrix, laplacian_half, roundoff_bound
+from fk_thermo.spectral import (OperatorMatrix, _CyclicLU, doob_generator,
+                                laplacian_half, roundoff_bound)
+from fk_thermo.thermo import _basin_peaks
 
 from conftest import random_harmonic
 from oracles import fd_operator, fd_top_eigenvalue, richardson_eigenvalue
@@ -153,6 +156,7 @@ class TestPrincipalEigenpair:
                                             min_size=1, max_size=4))
     @hypothesis.example(n=2048,
                         coefficients=[(1.4525101445426223, 3.7669513610591183)])
+    @hypothesis.example(n=4096, coefficients=[(0.0, -4.0)])
     def test_residual_at_large_n(self, n, coefficients):
         # The guard is 6 eps n^2 here; sweeps on an unpivoted LU of the
         # M-matrix leave a residual of about one matrix-vector product.
@@ -233,6 +237,95 @@ class TestPrincipalEigenpair:
         op = OperatorMatrix(grid512, -laplacian_half(grid512))
         with pytest.raises((PositivityViolation, DegenerateGap)):
             principal_eigenpair(op)
+
+
+def shifted_systems(V):
+    """(name, matrix, border, cuts) of every system the package factors, for V.
+
+    The Lanczos shift above the Gershgorin bound and inverse iteration's
+    near-singular shift of shift I - A; the Krylov kernel's I - gamma M in the
+    flat frame and in the Doob frame, gamma = 0.05; the companion's Doob
+    generator bordered by the -1 column and the h row, cut at F's peaks.
+    """
+    n, h = V.grid.n, V.grid.h
+    op = build_generator(V)
+    A, sol = op.matrix, principal_eigenpair(op)
+    lam, L = sol.eigenvalue, doob_generator(sol, V)
+    eye = sp.eye_array(n, format="csr")
+    sigma = np.max(A.diagonal() + np.abs(A).sum(axis=1) - np.abs(A.diagonal())) + 1.0
+    flat = build_generator(V - max(float(V.values.max()), 0.0)).matrix
+    return [("lanczos", sigma * eye - A, None, (-1,)),
+            ("inverse", (lam + 1e-8 * max(1.0, abs(lam))) * eye - A, None, (-1,)),
+            ("flat", eye - 0.05 * flat, None, (-1,)),
+            ("doob", eye - 0.05 * L, None, (-1,)),
+            ("companion", L, (-np.ones(n), np.full(n, h)), (-1,)),
+            ("companion-peaks", L, (-np.ones(n), np.full(n, h)),
+             _basin_peaks(sol.eigenfunction.values))]
+
+
+def bordered(matrix, border):
+    """The full matrix of a _CyclicLU system."""
+    if border is None:
+        return matrix
+    return sp.block_array([[matrix, border[0][:, None]], [border[1][None, :], None]],
+                          format="csr")
+
+
+def backward_error(matrix, x, b):
+    """Normwise backward error |M x - b| / (|M|_inf |x|_inf)."""
+    return (np.max(np.abs(matrix @ x - b))
+            / (np.max(np.abs(matrix).sum(axis=1)) * np.max(np.abs(x))))
+
+
+class TestCyclicLU:
+    """_CyclicLU on every kind of shifted system, against the full matrix."""
+
+    EPS = np.finfo(float).eps
+
+    @staticmethod
+    def potentials(grid):
+        rng = np.random.default_rng(28)
+        kmax = min(4, grid.n // 2 - 1)
+        return [HarmonicSpec(harmonics=[(1, 0.0, -4.0)]).sample(grid),
+                random_harmonic(grid, rng, kmax=kmax, scale=5.0),
+                random_harmonic(grid, rng, kmax=kmax, scale=5.0)]
+
+    @pytest.mark.parametrize("n", [4, 6, 64, 4096])
+    def test_backward_error_within_two_eps(self, n):
+        # Against the full sparse matrix.  Without the refinement of T^{-1} C
+        # the companion's solve reached 38 eps on these potentials at n = 4096.
+        rng = np.random.default_rng(n)
+        for V in self.potentials(make_grid(n)):
+            for name, matrix, border, cuts in shifted_systems(V):
+                b = rng.standard_normal(n if border is None else n + 1)
+                x = _CyclicLU(matrix, border, cuts).solve(b)
+                full = bordered(matrix, border)
+                error = backward_error(full, x, b)
+                assert error <= 2.0 * self.EPS, (name, error / self.EPS)
+                if n <= 64:
+                    dense = full.toarray()
+                    reference = np.linalg.solve(dense, b)
+                    bound = 8.0 * self.EPS * np.linalg.cond(dense, np.inf)
+                    assert np.max(np.abs(x - reference)) <= bound * np.max(np.abs(reference))
+
+    @pytest.mark.parametrize("cuts", [(0,), (0, 1), (63, 0), (5, 6, 40)])
+    def test_any_cut_set(self, cuts):
+        # Adjacent cuts couple inside S, and a cut at node 0 or across the
+        # wrap makes T start mid-cycle.
+        rng = np.random.default_rng(64)
+        for name, matrix, border, _ in shifted_systems(self.potentials(make_grid(64))[1]):
+            b = rng.standard_normal(64 if border is None else 65)
+            x = _CyclicLU(matrix, border, cuts).solve(b)
+            error = backward_error(bordered(matrix, border), x, b)
+            assert error <= 2.0 * self.EPS, (name, error / self.EPS)
+
+    def test_failures_are_named(self):
+        # A symmetric matrix must be positive definite for LDL^T; D/2 is not.
+        grid = make_grid(8)
+        with pytest.raises(spectral.NumericalFailure, match="pivot 1"):
+            _CyclicLU(laplacian_half(grid))
+        with pytest.raises(ValueError, match="not cyclic tridiagonal"):
+            _CyclicLU(sp.csr_array(np.ones((8, 8))))
 
 
 class TestDensities:

@@ -548,6 +548,17 @@ class TestEigenConsistentDrift:
         ad = admissible_from_eigen(sol, V)
         assert abs(pressure_value(ad, V) - expected) <= tol
 
+    @pytest.mark.parametrize("n, a, b", [(512, 0.0, 2000.0), (2048, 0.0, 2000.0),
+                                         (4096, 2000.0, 0.0)])
+    def test_symmetric_double_well_companion(self, n, a, b):
+        # Two wells with a spectral gap of about 4e-9.  With a Schur cut in
+        # one well only, the preconditioner's tridiagonal block was as nearly
+        # singular as the gap, GMRES stalled and Newton raised NonConvergence.
+        V = HarmonicSpec(harmonics=[(2, a, b)]).sample(make_grid(n))
+        sol = principal_eigenpair(build_generator(V))
+        ad = admissible_from_eigen(sol, V)
+        assert abs(pressure_value(ad, V) - 1724.033837946) <= 1e-8
+
 
 class TestCompanionProperty:
     """admissible_from_eigen over one harmonic, k <= 4, amplitude 1e-2..5000:
