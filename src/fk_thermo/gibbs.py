@@ -9,7 +9,9 @@ diag(1/F) (A - lambda I) diag(F) (no division by F after the fact), realizes
 the process by Euler simulation, checks invariance of the
 eigen-density, and computes the two Radon-Nikodym path weights (eigen form
 and generic drift-potential form) whose path-wise agreement is the discrete
-version of the coboundary identity.
+version of the coboundary identity.  The drift-potential form reads a
+recorded ensemble one block of paths at a time, so weighting it holds about
+one block beside the ensemble rather than a copy of it.
 """
 
 from __future__ import annotations
@@ -107,12 +109,24 @@ def rn_weights_admissible(ens: PathEnsemble, g: GridFunction) -> np.ndarray:
 
     The rate (g'' + (g')^2)/2 is integrated by the same left-endpoint rule
     the simulation uses, which requires every step to be recorded
-    (record_stride == 1).
+    (record_stride == 1).  The recorded steps are read one block of
+    max(1, grid._BLOCK_POINTS // n_steps) paths at a time, each block's row
+    sums written into one array of n_paths integrals, so the read holds
+    about one block (512 KiB of points and the lookup's temporaries) beside
+    the ensemble, whatever its size.  A row's sum does not depend on the
+    rows read with it, so the weights have the bits of one read of the
+    whole ensemble.
     """
     if ens.record_stride != 1:
         raise ValueError("admissible weights need record_stride=1 ensembles")
+    from .grid import _BLOCK_POINTS  # looked up per call, as the reader does
+
     rate = drift_weight_integrand(g)
-    integral = rate.interp(ens.positions[:, :-1]).sum(axis=1) * ens.dt
+    rows = max(1, _BLOCK_POINTS // ens.n_steps)
+    integral = np.empty(ens.n_paths)
+    for lo in range(0, ens.n_paths, rows):
+        integral[lo:lo + rows] = rate.interp(ens.positions[lo:lo + rows, :-1]).sum(axis=1)
+    integral *= ens.dt
     start, end = g.interp(ens.positions[:, [0, -1]]).T
     return np.exp(end - start - integral)
 

@@ -10,6 +10,8 @@ then its Gaussian increments.
 Increments are streamed: a block of paths keeps its streams open and draws
 a chunk of steps at a time into one reused buffer, so memory is
 O(block x chunk) plus the recorded positions, independent of the horizon.
+The buffer is an anonymous mapping, like the positions, and is unmapped
+when the call returns, so its pages do not stay in the heap after it.
 Drift and potential are read off the grid by grid.periodic_reader's cell
 lookup, the one route every off-node read of a grid function takes; its
 bits do not depend on how many points it reads, and a stream drawn in
@@ -331,7 +333,8 @@ def simulate_paths(
     and draws their increments step chunk by step chunk into one reused
     (block, chunk) buffer, chunk = min(_WINDOW_STEPS, _CHUNK_DOUBLES //
     block) steps, at least one, so memory is O(block x chunk) plus the
-    recorded positions, whatever T is; the guard counts both.  A block of
+    recorded positions, whatever T is; the guard counts both.  The buffer
+    is mapped by _shared_zeros and unmapped when the call returns.  A block of
     at least _SCALAR_PATHS paths steps them together, reading drift and
     potential through one grid.periodic_reader built per call, whose cell
     lookup both share.  A block narrower than _SCALAR_PATHS (40, where the
@@ -376,7 +379,7 @@ def simulate_paths(
     positions = _shared_zeros((cfg.n_paths, n_rec))
     integrals = _shared_zeros((cfg.n_paths,)) if potential is not None else None
     sqrt_dt = np.sqrt(cfg.dt)
-    normals = np.empty((widest, chunk))
+    normals = _shared_zeros((widest, chunk))
     key = _PhiloxKey(cfg.seed)
 
     def walk(first: int, last: int, row: int, block: int) -> None:

@@ -329,11 +329,22 @@ def doob_generator(solution: EigenSolution, V: GridFunction) -> sp.csr_array:
 
     V is the potential the eigenpair was solved for and A its stencil.  The
     rows sum to zero up to the eigenpair residual over F, so exp(t L) fixes
-    constants node by node, with no division by F after the fact.
+    constants node by node, with no division by F after the fact.  The three
+    bands are written directly, each entry by the composed product's
+    operations in their order: (1/F_i) (((-2 s) + V_i) - lambda) F_i on the
+    diagonal and ((1/F_i) s) F_{i+-1} off it, s = 1/(2 h^2), with the
+    periodic corners, so L has the product's bits without assembling A or
+    multiplying sparse matrices.
     """
     F, n = solution.eigenfunction.values, V.grid.n
-    return (sp.diags_array(1.0 / F) @ (build_generator(V).matrix
-            - solution.eigenvalue * sp.eye_array(n)) @ sp.diags_array(F))
+    s = 0.5 / V.grid.h**2
+    inv = 1.0 / F
+    idx = np.arange(n, dtype=np.int32)
+    rows = np.concatenate([idx, idx, idx])
+    cols = np.concatenate([idx, (idx + 1) % n, (idx - 1) % n])
+    vals = np.concatenate([inv * ((-2.0 * s + V.values) - solution.eigenvalue) * F,
+                           inv * s * np.roll(F, -1), inv * s * np.roll(F, 1)])
+    return sp.csr_array((vals, (rows, cols)), shape=(n, n))
 
 
 def gibbs_density(solution: EigenSolution) -> GridFunction:

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import fk_thermo.grid
 from fk_thermo import (EigenSolution, GridFunction, HarmonicSpec, McConfig,
                        build_generator, derivative, generator_apply,
                        gibbs_density, integrate, invariance_residual,
@@ -8,7 +11,7 @@ from fk_thermo import (EigenSolution, GridFunction, HarmonicSpec, McConfig,
                        rn_weights, rn_weights_admissible, simulate_sde,
                        tv_distance)
 from fk_thermo.gibbs import bin_density, drift_weight_integrand, histogram_density
-from fk_thermo.mc import sample_from_density
+from fk_thermo.mc import PathEnsemble, sample_from_density
 
 from conftest import random_harmonic
 from oracles import dense_semigroup, fd_operator
@@ -238,6 +241,52 @@ class TestRnWeightAdmissible:
         ens = simulate_sde(zero_fn(grid512), 0.0, 0.01, cfg, record_stride=None)
         with pytest.raises(ValueError, match="record_stride"):
             rn_weights_admissible(ens, zero_fn(grid512))
+
+    @staticmethod
+    def unblocked(ens, g):
+        """The weights from one read of the whole ensemble."""
+        integral = drift_weight_integrand(g).interp(ens.positions[:, :-1]).sum(axis=1) * ens.dt
+        start, end = g.interp(ens.positions[:, [0, -1]]).T
+        return np.exp(end - start - integral)
+
+    @staticmethod
+    def uniform_ensemble(n_paths, n_steps, seed):
+        """A stride-1 ensemble of uniform positions, without simulating it."""
+        positions = np.random.default_rng(seed).random((n_paths, n_steps + 1))
+        return PathEnsemble(dt=1e-3, n_steps=n_steps, n_paths=n_paths, positions=positions,
+                            record_stride=1, potential_integrals=None)
+
+    @pytest.mark.parametrize("n_paths, n_steps", [
+        (3, 70_000),  # above the reader's 2**16 points: one path per block
+        (300, 500),  # blocks of 131 paths, the last of 38
+        (1, 500)])
+    def test_block_read_keeps_the_bits(self, grid512, n_paths, n_steps):
+        g = random_harmonic(grid512, np.random.default_rng(86), kmax=3, scale=0.5)
+        ens = self.uniform_ensemble(n_paths, n_steps, n_steps)
+        assert np.array_equal(rn_weights_admissible(ens, g), self.unblocked(ens, g))
+
+    @pytest.mark.parametrize("points", [1, 50, 1000])  # blocks of 1, 1 and 5 paths
+    def test_block_read_keeps_the_bits_at_any_block_size(self, grid512, monkeypatch,
+                                                          points):
+        g = random_harmonic(grid512, np.random.default_rng(87), kmax=3, scale=0.5)
+        cfg = McConfig(n_paths=33, dt=1e-3, seed=88)
+        ens = simulate_sde(g, 0.7, 0.2, cfg, record_stride=1)
+        whole = self.unblocked(ens, g)
+        monkeypatch.setattr(fk_thermo.grid, "_BLOCK_POINTS", points)
+        assert np.array_equal(rn_weights_admissible(ens, g), whole)
+
+    def test_read_holds_one_block(self, grid512):
+        # 2000 x 2000 recorded steps (30.5 MiB): one read of the whole
+        # ensemble peaked at 63.5 MiB; a block of 32 paths is 0.5 MiB
+        g = random_harmonic(grid512, np.random.default_rng(89), kmax=3, scale=0.5)
+        ens = self.uniform_ensemble(2000, 2000, 90)
+        tracemalloc.start()
+        try:
+            rn_weights_admissible(ens, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
 
     def test_integrand_matches_fourier_form_for_smooth_g(self, grid512):
         rng = np.random.default_rng(85)

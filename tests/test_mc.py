@@ -93,18 +93,31 @@ def test_ensembles_identical_across_chunking(vcos512, eig_cos512, monkeypatch,
 
 
 def test_memory_flat_in_horizon(vcos512, eig_cos512, monkeypatch):
-    # chunks of 50 steps: quadrupling the horizon adds no increment memory
+    # chunks of 50 steps: quadrupling the horizon adds no increment memory.
+    # The increment buffer is mapped, which tracemalloc does not see, so the
+    # shapes of the mapped buffers are checked too: positions, integrals,
+    # then increments.
     monkeypatch.setattr(mc, "_CHUNK_DOUBLES", 100 * 50)
     cfg = McConfig(n_paths=100, dt=1e-3, seed=4)
+    shapes, shared_zeros = [], mc._shared_zeros
+
+    def recorded(shape):
+        shapes.append(shape)
+        return shared_zeros(shape)
+
+    monkeypatch.setattr(mc, "_shared_zeros", recorded)
 
     def peak_bytes(T):
+        shapes.clear()
         tracemalloc.start()
         try:
             simulate_paths(vcos512.grid, eig_cos512.drift, 0.3, T, cfg,
                            potential=vcos512)
-            return tracemalloc.get_traced_memory()[1]
+            peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert shapes == [(100, 2), (100,), (100, 50)], (T, shapes)
+        return peak
 
     short, long = peak_bytes(0.5), peak_bytes(2.0)
     assert long - short < 64 * 1024  # whole-horizon draws would add 1.2 MB

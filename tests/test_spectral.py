@@ -328,6 +328,27 @@ class TestCyclicLU:
             _CyclicLU(sp.csr_array(np.ones((8, 8))))
 
 
+class TestDoobGenerator:
+    @staticmethod
+    def composed(solution, V):
+        """diag(1/F) (A - lambda I) diag(F) as three sparse products."""
+        F, n = solution.eigenfunction.values, V.grid.n
+        return (sp.diags_array(1.0 / F) @ (build_generator(V).matrix
+                - solution.eigenvalue * sp.eye_array(n)) @ sp.diags_array(F))
+
+    @pytest.mark.parametrize("n, harmonics", [
+        (4, [(1, 1.0, 0.5)]), (6, [(1, 1.0, 0.5), (2, -0.3, 0.2)]),
+        (64, [(1, 0.0, -4.0), (3, 2.0, 1.0)]), (4096, [(1, 0.0, -4.0)]),
+        (4096, [(1, 3e5, 0.0)])])  # the last: min F about 1e-150
+    def test_bands_are_the_composed_product(self, n, harmonics):
+        V = HarmonicSpec(constant=0.3, harmonics=harmonics).sample(make_grid(n))
+        sol = principal_eigenpair(build_generator(V))
+        L, reference = doob_generator(sol, V), self.composed(sol, V)
+        assert np.array_equal(L.toarray(), reference.toarray())
+        for part in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(L, part), getattr(reference, part)), part
+
+
 class TestDensities:
     def test_free_case_uniform(self, grid512):
         sol = principal_eigenpair(build_generator(constant_potential(grid512)))
