@@ -19,13 +19,12 @@ from dataclasses import dataclass
 from math import isfinite
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg import expm, norm
 
 from .grid import GridFunction, integrate
 from .mc import McConfig, mean_and_se, simulate_paths, step_count
-from .spectral import (EigenSolution, NonConvergence, NumericalFailure, _CyclicLU,
-                       build_generator, doob_generator)
+from .spectral import (EigenSolution, NonConvergence, NumericalFailure, OperatorMatrix,
+                       _CyclicLU, build_generator, doob_generator)
 
 __all__ = ["PropagatorConfig", "propagate_pde", "propagate_pde_many", "propagate_mc",
            "check_selfadjoint", "WeightOverflow"]
@@ -116,28 +115,27 @@ def _krylov_exp(resolvent, b: np.ndarray, t: float, gamma: float,
                          f"the result")
 
 
-def _exp_action(matrix: sp.csr_array, vectors, horizons, shift: float) -> dict:
-    """{t: [exp(t (matrix + shift I)) v, ...]} for each distinct horizon t, ascending.
+def _exp_action(op: OperatorMatrix, vectors, horizons, shift: float) -> dict:
+    """{t: [exp(t (M + shift I)) v, ...]} for each distinct horizon t, ascending.
 
-    matrix is a stencil whose spectrum lies at or left of 0 (D/2 + V -
-    max(V, 0), or a Doob generator), so I - gamma matrix, gamma = t/10, is a
+    op is a stencil M whose spectrum lies at or left of 0 (D/2 + V -
+    max(V, 0), or a Doob generator), so I - gamma M, gamma = t/10, is a
     nonsingular M-matrix.  One _CyclicLU of it serves every vector at
     horizon t: LDL^T factors in the symmetric flat frame, pivoted LU with a
     refined border in the Doob frame.  Each vector has its own Krylov space,
     so each result has the bits of its own one-vector run.  The factors are
-    applied in increment form, v + gamma (I - gamma matrix)^{-1} (matrix v),
-    which keeps states the matrix annihilates (constants for D/2) fixed to
-    the last bit.  Raises WeightOverflow if a result is not finite.
+    applied in increment form, v + gamma (I - gamma M)^{-1} (M v), which
+    keeps states M annihilates (constants for D/2) fixed to the last bit.
+    Raises WeightOverflow if a result is not finite.
     """
-    n = matrix.shape[0]
     out = {}
     for t in sorted(set(horizons)):
         if not 0.0 < t < np.inf:
             raise ValueError(f"horizon must be positive and finite, got {t}")
         gamma = t / 10.0
-        lu = _CyclicLU(sp.eye_array(n, format="csr") - gamma * matrix)
+        lu = _CyclicLU(op.shifted(1.0, -gamma))
         with np.errstate(over="ignore", invalid="ignore"):
-            out[t] = [_krylov_exp(lambda v: v + lu.solve(gamma * (matrix @ v)),
+            out[t] = [_krylov_exp(lambda v: v + lu.solve(gamma * op.apply(v)),
                                   u, t, gamma, shift) for u in vectors]
         if not all(np.isfinite(u).all() for u in out[t]):
             raise WeightOverflow(f"the propagated state at t={t} is not finite "
@@ -159,10 +157,10 @@ def propagate_pde_many(V: GridFunction, functions, horizons,
         raise ValueError("potential and initial condition on different grids")
     if eigenpair is None:
         c = max(float(np.max(V.values)), 0.0)
-        matrix = build_generator(V - c).matrix
+        op = build_generator(V - c)
     else:
-        c, matrix = 0.0, doob_generator(eigenpair, V)
-    states = _exp_action(matrix, [f.values for f in functions], horizons, shift=c)
+        c, op = 0.0, doob_generator(eigenpair, V)
+    states = _exp_action(op, [f.values for f in functions], horizons, shift=c)
     return {t: [GridFunction(V.grid, u) for u in us] for t, us in states.items()}
 
 

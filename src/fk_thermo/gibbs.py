@@ -73,7 +73,7 @@ def simulate_sde(
 def drift_weight_integrand(g: GridFunction) -> GridFunction:
     """Drift-potential weight rate (g'' + (g')^2)/2, in generator form.
 
-    Computed as (laplacian_half @ e^g) / e^g, applying the sparse
+    Computed as laplacian_half(grid).apply(e^g) / e^g, applying the
     second-difference stencil the generator matrix is built from, so that
     for g = log F the rate equals lambda - V at the eigenpair-residual level,
     node by node.
@@ -81,7 +81,7 @@ def drift_weight_integrand(g: GridFunction) -> GridFunction:
     eg = np.exp(g.values)
     if not np.all(np.isfinite(eg)):
         raise ValueError("exp(g) overflows; rescale the drift potential")
-    return GridFunction(g.grid, (laplacian_half(g.grid) @ eg) / eg)
+    return GridFunction(g.grid, laplacian_half(g.grid).apply(eg) / eg)
 
 
 def _require_v_integrals(ens: PathEnsemble) -> np.ndarray:

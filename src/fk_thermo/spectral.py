@@ -2,8 +2,8 @@
 
 The generator-plus-potential operator is discretized as A = D/2 + diag(V)
 where D is the periodic second-difference stencil (1, -2, 1)/h^2 with
-wrap-around corners.  A is stored as a sparse matrix with 3n nonzeros and is
-exactly symmetric.  Every shifted system the package solves is this cyclic
+wrap-around corners.  A is stored as its three cyclic bands, 3n numbers, and
+is exactly symmetric.  Every shifted system the package solves is this cyclic
 tridiagonal shape, or it bordered by one constraint, and _CyclicLU factors
 each in O(n): LAPACK's tridiagonal factors of all but the last node, and a
 Schur complement for the rest.  The top two eigenvalues come from
@@ -20,7 +20,6 @@ from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg import lapack
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
@@ -64,37 +63,51 @@ class NonConvergence(NumericalFailure):
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """Symmetric discretization of f -> f''/2 + V f on a periodic grid.
+    """Cyclic tridiagonal stencil A on a periodic grid, held as three bands.
 
-    Accepts any square matrix, dense or sparse, and stores it as a read-only
-    CSR array.
+    diag[i] = A[i, i], up[i] = A[i, i+1] and low[i] = A[i, i-1], indices
+    taken cyclically; each is stored as a read-only float64 copy.
     """
 
     grid: PeriodicGrid
-    matrix: sp.csr_array
+    diag: np.ndarray
+    up: np.ndarray
+    low: np.ndarray
 
     def __post_init__(self) -> None:
-        m = sp.csr_array(self.matrix, dtype=float, copy=True)
         n = self.grid.n
-        if m.shape != (n, n):
-            raise ValueError(f"operator matrix must be {n}x{n}, got {m.shape}")
-        if (m != m.T).nnz:
-            raise ValueError("operator matrix must be exactly symmetric")
-        m.sum_duplicates()
-        for part in (m.data, m.indices, m.indptr):
-            part.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        for name in ("diag", "up", "low"):
+            band = np.array(getattr(self, name), dtype=float)
+            if band.shape != (n,):
+                raise ValueError(f"band {name} must have shape ({n},), got {band.shape}")
+            band.setflags(write=False)
+            object.__setattr__(self, name, band)
+
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        """A v, each row summed in ascending column order, corner rows included."""
+        low, up = self.low, self.up
+        x = self.diag * v
+        out = np.empty_like(x)
+        out[1:-1] = low[1:-1] * v[:-2] + x[1:-1] + up[1:-1] * v[2:]
+        out[0] = x[0] + up[0] * v[1] + low[0] * v[-1]
+        out[-1] = up[-1] * v[0] + low[-1] * v[-2] + x[-1]
+        return out
+
+    def shifted(self, a: float, b: float) -> OperatorMatrix:
+        """a I + b A."""
+        return OperatorMatrix(self.grid, a + b * self.diag, b * self.up, b * self.low)
+
+    @property
+    def symmetric(self) -> bool:
+        """A[i, i+1] == A[i+1, i] for every i, exactly."""
+        return bool(np.array_equal(self.up, np.roll(self.low, -1)))
 
 
-def laplacian_half(grid: PeriodicGrid) -> sp.csr_array:
-    """Sparse matrix of the half-Laplacian second-difference stencil."""
-    n = grid.n
+def laplacian_half(grid: PeriodicGrid) -> OperatorMatrix:
+    """The half-Laplacian second-difference stencil (1, -2, 1)/(2 h^2)."""
     scale = 0.5 / grid.h**2
-    idx = np.arange(n, dtype=np.int32)
-    rows = np.concatenate([idx, idx, idx])
-    cols = np.concatenate([idx, (idx + 1) % n, (idx - 1) % n])
-    vals = np.concatenate([np.full(n, -2.0 * scale), np.full(2 * n, scale)])
-    return sp.csr_array((vals, (rows, cols)), shape=(n, n))
+    side = np.full(grid.n, scale)
+    return OperatorMatrix(grid, np.full(grid.n, -2.0 * scale), side, side)
 
 
 @lru_cache(maxsize=None)
@@ -121,9 +134,9 @@ def roundoff_bound(n: int) -> float:
 
 
 def build_generator(V: GridFunction) -> OperatorMatrix:
-    """Assemble A = D/2 + diag(V) with the periodic second-difference D."""
-    return OperatorMatrix(V.grid, laplacian_half(V.grid)
-                          + sp.diags_array(V.values, format="csr"))
+    """A = D/2 + diag(V) with the periodic second-difference D."""
+    half = laplacian_half(V.grid)
+    return OperatorMatrix(V.grid, half.diag + V.values, half.up, half.low)
 
 
 @dataclass(frozen=True)
@@ -180,7 +193,7 @@ def _check_pivots(info: int, n: int) -> None:
 
 
 class _CyclicLU:
-    """Factors of a cyclic tridiagonal matrix M, optionally bordered by one
+    """Factors of a cyclic tridiagonal stencil M, optionally bordered by one
     column and row border = (column, row), each of length n; solve(b) returns
     M^{-1} b.
 
@@ -195,17 +208,11 @@ class _CyclicLU:
     bordered Doob generator had a backward error of tens of eps.
     """
 
-    def __init__(self, matrix: sp.csr_array,
+    def __init__(self, op: OperatorMatrix,
                  border: tuple[np.ndarray, np.ndarray] | None = None,
                  cuts=(-1,)) -> None:
-        n = matrix.shape[0]
-        d = matrix.diagonal()
-        right = np.concatenate([matrix.diagonal(1), matrix.diagonal(1 - n)])  # M[i, i+1]
-        left = np.concatenate([matrix.diagonal(n - 1), matrix.diagonal(-1)])  # M[i, i-1]
-        if sum(map(np.count_nonzero, (d, right, left))) != matrix.count_nonzero():
-            raise ValueError("matrix is not cyclic tridiagonal")
-        symmetric = (border is None and right[-1] == left[0]
-                     and np.array_equal(right[:-1], left[1:]))
+        n, d, right, left = op.grid.n, op.diag, op.up, op.low
+        symmetric = border is None and op.symmetric
         cut = np.array(sorted({int(c) % n for c in cuts}))
         kept = np.ones(n, dtype=bool)
         kept[cut] = False
@@ -260,19 +267,21 @@ class _CyclicLU:
         return x
 
 
-def _top_two_eigenvalues(mat: sp.csr_array) -> np.ndarray:
+def _top_two_eigenvalues(op: OperatorMatrix) -> np.ndarray:
     """Two largest eigenvalues, ascending, by shift-invert Lanczos.
 
     The shift sits max(1, 1e-12 |bound|) above the Gershgorin bound, so even
     after rounding the eigenvalues nearest to it are the top two and the
     shifted matrix is nonsingular.  The start vector is fixed (ARPACK's is random).
     """
-    n = mat.shape[0]
-    diag = mat.diagonal()
-    bound = float(np.max(diag + abs(mat).sum(axis=1) - np.abs(diag)))
+    n = op.grid.n
+    size = OperatorMatrix(op.grid, np.abs(op.diag), np.abs(op.up), np.abs(op.low))
+    bound = float(np.max(op.diag + size.apply(np.ones(n)) - size.diag))
     sigma = bound + max(1.0, 1e-12 * abs(bound))
-    lu = _CyclicLU(sigma * sp.eye_array(n, format="csr") - mat)
+    lu = _CyclicLU(op.shifted(sigma, -1.0))
     opinv = LinearOperator((n, n), matvec=lambda b: -lu.solve(b), dtype=float)
+    # In shift-invert mode ARPACK applies only OPinv, never A itself.
+    mat = LinearOperator((n, n), matvec=op.apply, dtype=float)
     try:
         values = eigsh(mat, k=2, sigma=sigma, OPinv=opinv, v0=np.ones(n),
                        tol=0, return_eigenvectors=False)
@@ -284,35 +293,30 @@ def _top_two_eigenvalues(mat: sp.csr_array) -> np.ndarray:
 def principal_eigenpair(op: OperatorMatrix) -> EigenSolution:
     """Top eigenvalue and positive eigenvector of a built generator.
 
-    op.matrix must be cyclic tridiagonal, as build_generator makes it;
-    _CyclicLU raises ValueError on any other shape.
+    Raises ValueError unless op is exactly symmetric, as build_generator
+    makes it.
     """
+    if not op.symmetric:
+        raise ValueError("operator matrix must be exactly symmetric")
     grid = op.grid
-    mat = op.matrix
-    second, first = _top_two_eigenvalues(mat)
+    second, first = _top_two_eigenvalues(op)
     gap = float(first - second)
     if gap <= 1e-12:
-        raise DegenerateGap(
-            f"spectral gap {gap:.3e} is not resolvably positive"
-        )
+        raise DegenerateGap(f"spectral gap {gap:.3e} is not resolvably positive")
     shift = float(first) + 1e-8 * max(1.0, abs(float(first)))
     # shift I - A is a nonsingular M-matrix: its LDL^T factors make no row
     # exchanges, and a solve of a positive vector adds positive terms only.
-    lu = _CyclicLU(shift * sp.eye_array(grid.n, format="csr") - mat)
+    lu = _CyclicLU(op.shifted(shift, -1.0))
     vec = inverse_iteration(lu.solve, np.ones(grid.n))
     if np.any(vec <= 0.0):
-        raise PositivityViolation(
-            "principal eigenvector is not positive at every node"
-        )
+        raise PositivityViolation("principal eigenvector is not positive at every node")
     # Rayleigh quotient of the refined vector beats the raw Lanczos value.
-    lam = float(vec @ (mat @ vec) / (vec @ vec))
+    lam = float(vec @ op.apply(vec) / (vec @ vec))
     vec = vec / np.sqrt(grid.h * np.sum(vec**2))
-    residual = np.max(np.abs(mat @ vec - lam * vec)) / np.max(np.abs(vec))
+    residual = np.max(np.abs(op.apply(vec) - lam * vec)) / np.max(np.abs(vec))
     bound = roundoff_bound(grid.n)
     if residual > bound:
-        raise NonConvergence(
-            f"eigenpair residual {residual:.3e} exceeds {bound:.3e}"
-        )
+        raise NonConvergence(f"eigenpair residual {residual:.3e} exceeds {bound:.3e}")
     F = GridFunction(grid, vec)
     drift = derivative(GridFunction(grid, np.log(vec)), 1)
     return EigenSolution(
@@ -324,7 +328,7 @@ def principal_eigenpair(op: OperatorMatrix) -> EigenSolution:
     )
 
 
-def doob_generator(solution: EigenSolution, V: GridFunction) -> sp.csr_array:
+def doob_generator(solution: EigenSolution, V: GridFunction) -> OperatorMatrix:
     """Markov generator diag(1/F) (A - lambda I) diag(F) of the Doob transform.
 
     V is the potential the eigenpair was solved for and A its stencil.  The
@@ -334,17 +338,13 @@ def doob_generator(solution: EigenSolution, V: GridFunction) -> sp.csr_array:
     operations in their order: (1/F_i) (((-2 s) + V_i) - lambda) F_i on the
     diagonal and ((1/F_i) s) F_{i+-1} off it, s = 1/(2 h^2), with the
     periodic corners, so L has the product's bits without assembling A or
-    multiplying sparse matrices.
+    multiplying matrices.
     """
-    F, n = solution.eigenfunction.values, V.grid.n
+    F = solution.eigenfunction.values
     s = 0.5 / V.grid.h**2
     inv = 1.0 / F
-    idx = np.arange(n, dtype=np.int32)
-    rows = np.concatenate([idx, idx, idx])
-    cols = np.concatenate([idx, (idx + 1) % n, (idx - 1) % n])
-    vals = np.concatenate([inv * ((-2.0 * s + V.values) - solution.eigenvalue) * F,
-                           inv * s * np.roll(F, -1), inv * s * np.roll(F, 1)])
-    return sp.csr_array((vals, (rows, cols)), shape=(n, n))
+    return OperatorMatrix(V.grid, inv * ((-2.0 * s + V.values) - solution.eigenvalue) * F,
+                          inv * s * np.roll(F, -1), inv * s * np.roll(F, 1))
 
 
 def gibbs_density(solution: EigenSolution) -> GridFunction:

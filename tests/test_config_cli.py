@@ -754,16 +754,16 @@ class TestVerify:
         # constants and at 0.5 for the stationarity check.
         factored = []
 
-        def counting_lu(matrix):
-            factored.append(matrix.shape)
-            return _CyclicLU(matrix)
+        def counting_lu(op):
+            factored.append(op.grid.n)
+            return _CyclicLU(op)
 
         monkeypatch.setattr("fk_thermo.feynman_kac._CyclicLU", counting_lu)
         cfg = parse_config(MINIMAL + "\n[run]\npaths = 200\n",
                            overrides=["--grid.n=64"])
         code, _ = run_verify(cfg)
         assert code == 0
-        assert factored == [(64, 64)] * 6
+        assert factored == [64] * 6
 
     @pytest.mark.parametrize("a", [10, 30, 100])
     def test_doob_frame_checks_pass_at_large_amplitude(self, a):

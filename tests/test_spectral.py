@@ -3,7 +3,7 @@ import hypothesis.strategies as st
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.sparse.linalg import ArpackNoConvergence
+from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from fk_thermo import (DegenerateGap, GridFunction, HarmonicSpec,
                        NonConvergence, PositivityViolation, build_generator,
@@ -22,6 +22,17 @@ def constant_potential(grid, c=0.0):
     return GridFunction(grid, np.full(grid.n, float(c)))
 
 
+def csr(op):
+    """scipy CSR array of op's three bands, column indices sorted in each row."""
+    n = op.grid.n
+    idx = np.arange(n)
+    m = sp.csr_array((np.concatenate([op.diag, op.up, op.low]),
+                      (np.tile(idx, 3), np.concatenate([idx, (idx + 1) % n, (idx - 1) % n]))),
+                     shape=(n, n))
+    assert m.has_sorted_indices and m.nnz == 3 * n
+    return m
+
+
 class TestBuildGenerator:
     def test_stencil_entries_n4(self):
         grid = make_grid(4)
@@ -33,30 +44,31 @@ class TestBuildGenerator:
             [0.0, n2 / 2, -n2, n2 / 2],
             [n2 / 2, 0.0, n2 / 2, -n2],
         ])
-        assert np.array_equal(op.matrix.toarray(), expected)
+        assert np.array_equal(csr(op).toarray(), expected)
 
     def test_kills_constants(self, grid512, vcos512):
         op = build_generator(vcos512)
         const = np.full(grid512.n, 2.5)
-        assert np.allclose(op.matrix @ const, vcos512.values * const, atol=1e-9)
+        assert np.allclose(op.apply(const), vcos512.values * const, atol=1e-9)
 
     def test_exact_symmetry(self, vcos512):
         op = build_generator(vcos512)
-        assert np.array_equal(op.matrix.toarray(), op.matrix.T.toarray())
+        assert op.symmetric
+        assert np.array_equal(csr(op).toarray(), csr(op).T.toarray())
 
     def test_laplacian_row_sums_vanish(self, grid512):
-        assert np.max(np.abs(laplacian_half(grid512).sum(axis=1))) < 1e-12 * grid512.n**2
+        row_sums = laplacian_half(grid512).apply(np.ones(grid512.n))
+        assert np.max(np.abs(row_sums)) < 1e-12 * grid512.n**2
 
     def test_matches_inline_oracle_stencil(self):
         grid = make_grid(64)
         V = HarmonicSpec(harmonics=[(1, 1.0, 0.0)]).sample(grid)
-        assert np.array_equal(build_generator(V).matrix.toarray(),
+        assert np.array_equal(csr(build_generator(V)).toarray(),
                               fd_operator(64, "cos1"))
 
     def test_storage_linear_in_n(self, vcos512):
-        m = build_generator(vcos512).matrix
-        assert m.nnz == 3 * 512
-        assert m.data.nbytes + m.indices.nbytes + m.indptr.nbytes <= 64 * 512
+        op = build_generator(vcos512)
+        assert op.diag.nbytes + op.up.nbytes + op.low.nbytes <= 24 * 512
 
     @pytest.mark.parametrize("n", [8, 64])
     def test_stencil_excess_matches_dense_difference(self, n):
@@ -67,7 +79,7 @@ class TestBuildGenerator:
         dft = np.exp(-2j * np.pi * np.outer(k, np.arange(n)) / n)
         fourier = (dft.conj().T @ np.diag(-0.5 * (2 * np.pi * k) ** 2)
                    @ dft).real / n
-        excess = laplacian_half(grid).toarray() - fourier
+        excess = csr(laplacian_half(grid)).toarray() - fourier
         assert np.linalg.eigvalsh(excess).min() >= -1e-12 * n**2
         rng = np.random.default_rng(n)
         for v in (rng.standard_normal(n), np.exp(np.cos(2 * np.pi * grid.nodes))):
@@ -75,10 +87,82 @@ class TestBuildGenerator:
                 v @ excess @ v / (v @ v), rel=1e-9, abs=1e-12 * n**2)
 
     def test_asymmetric_matrix_rejected(self, grid512):
-        mat = laplacian_half(grid512).toarray()
-        mat[0, 5] = 1.0
+        half = laplacian_half(grid512)
+        up = half.up.copy()
+        up[0] = 1.0
         with pytest.raises(ValueError, match="symmetric"):
-            OperatorMatrix(grid512, mat)
+            principal_eigenpair(OperatorMatrix(grid512, half.diag, up, half.low))
+
+
+class TestBands:
+    """OperatorMatrix's helpers against a CSR array of the same bands."""
+
+    CASES = [(4, [(1, 1.0, 0.5)]), (6, [(1, 1.0, 0.5), (2, -0.3, 0.2)]),
+             (64, [(1, 0.0, -4.0), (3, 2.0, 1.0)]), (4096, [(1, 0.0, -4.0)]),
+             (4096, [(1, 3e5, 0.0)])]  # the last: min F about 1e-150
+
+    @staticmethod
+    def stencils(n, harmonics):
+        V = HarmonicSpec(constant=0.3, harmonics=harmonics).sample(make_grid(n))
+        op = build_generator(V)
+        return {"generator": op, "half-laplacian": laplacian_half(V.grid),
+                "doob": doob_generator(principal_eigenpair(op), V)}
+
+    @pytest.mark.parametrize("n, harmonics", CASES)
+    def test_apply_is_the_csr_matvec(self, n, harmonics):
+        # Rows 0 and n-1 add their wrapped column in sorted order, not last:
+        # a roll-ordered sum low v[i-1] + diag v[i] + up v[i+1] differs there.
+        rng = np.random.default_rng(n)
+        corners = np.zeros(n)
+        corners[[0, 1, -2, -1]] = rng.standard_normal(4)
+        for name, op in self.stencils(n, harmonics).items():
+            ref = csr(op)
+            for v in [corners] + [rng.standard_normal(n) * 10.0 ** rng.uniform(-5, 5)
+                                  for _ in range(50)]:
+                assert np.array_equal(op.apply(v), ref @ v), name
+
+    @pytest.mark.parametrize("n, harmonics", CASES[:3])
+    def test_shifted_is_the_dense_combination(self, n, harmonics):
+        for name, op in self.stencils(n, harmonics).items():
+            dense = csr(op).toarray()
+            for a, b in [(1.0, -0.05), (7.25, -1.0), (0.0, -1.0), (-3.0, 2.5)]:
+                expected = a * np.eye(n) + b * dense
+                assert np.array_equal(csr(op.shifted(a, b)).toarray(), expected), name
+
+    @pytest.mark.parametrize("n, harmonics", CASES)
+    def test_gershgorin_bound_is_the_csr_row_sum(self, n, harmonics, monkeypatch):
+        # The Lanczos shift sits max(1, 1e-12 |bound|) above the bound, read
+        # here from the sigma handed to eigsh.
+        shifts = []
+
+        def recording(*args, sigma, **kwargs):
+            shifts.append(sigma)
+            return eigsh(*args, sigma=sigma, **kwargs)
+
+        op = self.stencils(n, harmonics)["generator"]
+        ref = csr(op)
+        bound = float(np.max(ref.diagonal() + abs(ref).sum(axis=1) - np.abs(ref.diagonal())))
+        monkeypatch.setattr(spectral, "eigsh", recording)
+        principal_eigenpair(op)
+        assert shifts == [bound + max(1.0, 1e-12 * abs(bound))]
+
+    def test_symmetric_reads_the_off_diagonals(self, grid512):
+        half = laplacian_half(grid512)
+        assert half.symmetric
+        for i in (0, 17, grid512.n - 1):
+            low = half.low.copy()
+            low[i] *= 1.0 + 2.0**-52
+            assert not OperatorMatrix(grid512, half.diag, half.up, low).symmetric
+
+    def test_bands_are_read_only_copies(self, grid512):
+        diag = np.zeros(grid512.n)
+        op = OperatorMatrix(grid512, diag, diag, diag)
+        diag[0] = 1.0
+        assert op.diag[0] == 0.0
+        with pytest.raises(ValueError):
+            op.up[0] = 1.0
+        with pytest.raises(ValueError, match="shape"):
+            OperatorMatrix(grid512, diag[:-1], diag, diag)
 
 
 class TestPrincipalEigenpair:
@@ -105,7 +189,7 @@ class TestPrincipalEigenpair:
     def test_rayleigh_identity(self, vcos512, eig_cos512):
         op = build_generator(vcos512)
         F = eig_cos512.eigenfunction
-        rayleigh = integrate(GridFunction(F.grid, F.values * (op.matrix @ F.values)))
+        rayleigh = integrate(GridFunction(F.grid, F.values * op.apply(F.values)))
         rayleigh /= integrate(F * F)
         assert abs(rayleigh - eig_cos512.eigenvalue) < 1e-10
 
@@ -146,7 +230,7 @@ class TestPrincipalEigenpair:
         op = build_generator(V)
         sol = principal_eigenpair(op)
         F = sol.eigenfunction.values
-        residual = np.max(np.abs(op.matrix @ F - sol.eigenvalue * F))
+        residual = np.max(np.abs(op.apply(F) - sol.eigenvalue * F))
         assert residual / np.max(np.abs(F)) <= 1e-9
 
     @hypothesis.settings(max_examples=60, deadline=None, derandomize=True)
@@ -166,7 +250,7 @@ class TestPrincipalEigenpair:
         op = build_generator(V)
         sol = principal_eigenpair(op)
         F = sol.eigenfunction.values
-        residual = np.max(np.abs(op.matrix @ F - sol.eigenvalue * F))
+        residual = np.max(np.abs(op.apply(F) - sol.eigenvalue * F))
         assert residual / np.max(np.abs(F)) <= roundoff_bound(n)
 
     def test_tail_accurate_at_large_amplitude(self):
@@ -191,7 +275,8 @@ class TestPrincipalEigenpair:
         assert v.shape == (64,) and np.linalg.norm(v) == pytest.approx(1.0)
 
     def test_degenerate_gap_raises(self, grid512):
-        flat = OperatorMatrix(grid512, np.zeros((grid512.n, grid512.n)))
+        zero = np.zeros(grid512.n)
+        flat = OperatorMatrix(grid512, zero, zero, zero)
         with pytest.raises(DegenerateGap):
             principal_eigenpair(flat)
 
@@ -234,13 +319,13 @@ class TestPrincipalEigenpair:
 
     def test_positivity_guard_raises(self, grid512):
         # Negated Laplacian: the top eigenvector is the most oscillatory mode.
-        op = OperatorMatrix(grid512, -laplacian_half(grid512))
+        op = laplacian_half(grid512).shifted(0.0, -1.0)
         with pytest.raises((PositivityViolation, DegenerateGap)):
             principal_eigenpair(op)
 
 
 def shifted_systems(V):
-    """(name, matrix, border, cuts) of every system the package factors, for V.
+    """(name, stencil, border, cuts) of every system the package factors, for V.
 
     The Lanczos shift above the Gershgorin bound and inverse iteration's
     near-singular shift of shift I - A; the Krylov kernel's I - gamma M in the
@@ -249,25 +334,24 @@ def shifted_systems(V):
     """
     n, h = V.grid.n, V.grid.h
     op = build_generator(V)
-    A, sol = op.matrix, principal_eigenpair(op)
+    A, sol = csr(op), principal_eigenpair(op)
     lam, L = sol.eigenvalue, doob_generator(sol, V)
-    eye = sp.eye_array(n, format="csr")
     sigma = np.max(A.diagonal() + np.abs(A).sum(axis=1) - np.abs(A.diagonal())) + 1.0
-    flat = build_generator(V - max(float(V.values.max()), 0.0)).matrix
-    return [("lanczos", sigma * eye - A, None, (-1,)),
-            ("inverse", (lam + 1e-8 * max(1.0, abs(lam))) * eye - A, None, (-1,)),
-            ("flat", eye - 0.05 * flat, None, (-1,)),
-            ("doob", eye - 0.05 * L, None, (-1,)),
+    flat = build_generator(V - max(float(V.values.max()), 0.0))
+    return [("lanczos", op.shifted(sigma, -1.0), None, (-1,)),
+            ("inverse", op.shifted(lam + 1e-8 * max(1.0, abs(lam)), -1.0), None, (-1,)),
+            ("flat", flat.shifted(1.0, -0.05), None, (-1,)),
+            ("doob", L.shifted(1.0, -0.05), None, (-1,)),
             ("companion", L, (-np.ones(n), np.full(n, h)), (-1,)),
             ("companion-peaks", L, (-np.ones(n), np.full(n, h)),
              _basin_peaks(sol.eigenfunction.values))]
 
 
-def bordered(matrix, border):
-    """The full matrix of a _CyclicLU system."""
+def bordered(op, border):
+    """The full sparse matrix of a _CyclicLU system."""
     if border is None:
-        return matrix
-    return sp.block_array([[matrix, border[0][:, None]], [border[1][None, :], None]],
+        return csr(op)
+    return sp.block_array([[csr(op), border[0][:, None]], [border[1][None, :], None]],
                           format="csr")
 
 
@@ -296,10 +380,10 @@ class TestCyclicLU:
         # the companion's solve reached 38 eps on these potentials at n = 4096.
         rng = np.random.default_rng(n)
         for V in self.potentials(make_grid(n)):
-            for name, matrix, border, cuts in shifted_systems(V):
+            for name, op, border, cuts in shifted_systems(V):
                 b = rng.standard_normal(n if border is None else n + 1)
-                x = _CyclicLU(matrix, border, cuts).solve(b)
-                full = bordered(matrix, border)
+                x = _CyclicLU(op, border, cuts).solve(b)
+                full = bordered(op, border)
                 error = backward_error(full, x, b)
                 assert error <= 2.0 * self.EPS, (name, error / self.EPS)
                 if n <= 64:
@@ -313,19 +397,16 @@ class TestCyclicLU:
         # Adjacent cuts couple inside S, and a cut at node 0 or across the
         # wrap makes T start mid-cycle.
         rng = np.random.default_rng(64)
-        for name, matrix, border, _ in shifted_systems(self.potentials(make_grid(64))[1]):
+        for name, op, border, _ in shifted_systems(self.potentials(make_grid(64))[1]):
             b = rng.standard_normal(64 if border is None else 65)
-            x = _CyclicLU(matrix, border, cuts).solve(b)
-            error = backward_error(bordered(matrix, border), x, b)
+            x = _CyclicLU(op, border, cuts).solve(b)
+            error = backward_error(bordered(op, border), x, b)
             assert error <= 2.0 * self.EPS, (name, error / self.EPS)
 
     def test_failures_are_named(self):
         # A symmetric matrix must be positive definite for LDL^T; D/2 is not.
-        grid = make_grid(8)
         with pytest.raises(spectral.NumericalFailure, match="pivot 1"):
-            _CyclicLU(laplacian_half(grid))
-        with pytest.raises(ValueError, match="not cyclic tridiagonal"):
-            _CyclicLU(sp.csr_array(np.ones((8, 8))))
+            _CyclicLU(laplacian_half(make_grid(8)))
 
 
 class TestDoobGenerator:
@@ -333,7 +414,7 @@ class TestDoobGenerator:
     def composed(solution, V):
         """diag(1/F) (A - lambda I) diag(F) as three sparse products."""
         F, n = solution.eigenfunction.values, V.grid.n
-        return (sp.diags_array(1.0 / F) @ (build_generator(V).matrix
+        return (sp.diags_array(1.0 / F) @ (csr(build_generator(V))
                 - solution.eigenvalue * sp.eye_array(n)) @ sp.diags_array(F))
 
     @pytest.mark.parametrize("n, harmonics", [
@@ -343,7 +424,7 @@ class TestDoobGenerator:
     def test_bands_are_the_composed_product(self, n, harmonics):
         V = HarmonicSpec(constant=0.3, harmonics=harmonics).sample(make_grid(n))
         sol = principal_eigenpair(build_generator(V))
-        L, reference = doob_generator(sol, V), self.composed(sol, V)
+        L, reference = csr(doob_generator(sol, V)), self.composed(sol, V)
         assert np.array_equal(L.toarray(), reference.toarray())
         for part in ("data", "indices", "indptr"):
             assert np.array_equal(getattr(L, part), getattr(reference, part)), part

@@ -508,7 +508,7 @@ class TestEigenConsistentDrift:
         grid = make_grid(n)
         unit = np.zeros(n)
         unit[0] = 1.0
-        stencil = build_generator(zero_fn(grid)).matrix @ unit
+        stencil = build_generator(zero_fn(grid)).apply(unit)
         fourier = 0.5 * derivative(GridFunction(grid, unit), 2).values
         stencil_symbol = np.fft.rfft(stencil).real
         fourier_symbol = np.fft.rfft(fourier).real
