@@ -8,9 +8,10 @@ a Brownian path) times the terminal value.  Their agreement (and the
 self-adjointness of the propagator for the flat measure) is what the
 verification suite leans on.
 
-propagate_pde_many alone picks the frame the Krylov kernel runs in: the flat
+propagate_pde_many alone picks the frame the Krylov kernel runs in (the flat
 stencil of V - max(V, 0), or, given V's principal eigenpair, the Doob
-generator, which applies the normalized Gibbs semigroup instead.
+generator, which applies the normalized Gibbs semigroup instead) and runs it
+over the horizons.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from scipy.linalg import expm, norm
 
 from .grid import GridFunction, integrate
 from .mc import McConfig, mean_and_se, simulate_paths, step_count
-from .spectral import (EigenSolution, NonConvergence, NumericalFailure, OperatorMatrix,
-                       _CyclicLU, build_generator, doob_generator)
+from .spectral import (EigenSolution, NonConvergence, NumericalFailure, _CyclicLU,
+                       build_generator, doob_generator)
 
 __all__ = ["PropagatorConfig", "propagate_pde", "propagate_pde_many", "propagate_mc",
            "check_selfadjoint", "WeightOverflow"]
@@ -37,17 +38,14 @@ class WeightOverflow(NumericalFailure):
 
 @dataclass(frozen=True)
 class PropagatorConfig:
-    """Horizon t and step dt; t must be a whole number n_steps of steps.
+    """Horizon t and step dt of a propagate_pde call.
 
-    The Krylov route is exact in time and reads only t; dt steps the
-    Monte-Carlo route run beside it.
+    The Krylov route is exact in time and does not read dt; only n_steps
+    applies the step rule, raising unless t is a whole number of steps.
     """
 
     t: float
     dt: float
-
-    def __post_init__(self) -> None:
-        step_count(self.t, self.dt)
 
     @property
     def n_steps(self) -> int:
@@ -115,43 +113,25 @@ def _krylov_exp(resolvent, b: np.ndarray, t: float, gamma: float,
                          f"the result")
 
 
-def _exp_action(op: OperatorMatrix, vectors, horizons, shift: float) -> dict:
-    """{t: [exp(t (M + shift I)) v, ...]} for each distinct horizon t, ascending.
-
-    op is a stencil M whose spectrum lies at or left of 0 (D/2 + V -
-    max(V, 0), or a Doob generator), so I - gamma M, gamma = t/10, is a
-    nonsingular M-matrix.  One _CyclicLU of it serves every vector at
-    horizon t: LDL^T factors in the symmetric flat frame, pivoted LU with a
-    refined border in the Doob frame.  Each vector has its own Krylov space,
-    so each result has the bits of its own one-vector run.  The factors are
-    applied in increment form, v + gamma (I - gamma M)^{-1} (M v), which
-    keeps states M annihilates (constants for D/2) fixed to the last bit.
-    Raises WeightOverflow if a result is not finite.
-    """
-    out = {}
-    for t in sorted(set(horizons)):
-        if not 0.0 < t < np.inf:
-            raise ValueError(f"horizon must be positive and finite, got {t}")
-        gamma = t / 10.0
-        lu = _CyclicLU(op.shifted(1.0, -gamma))
-        with np.errstate(over="ignore", invalid="ignore"):
-            out[t] = [_krylov_exp(lambda v: v + lu.solve(gamma * op.apply(v)),
-                                  u, t, gamma, shift) for u in vectors]
-        if not all(np.isfinite(u).all() for u in out[t]):
-            raise WeightOverflow(f"the propagated state at t={t} is not finite "
-                                 f"(exp overflows above 709.78)")
-    return out
-
-
 def propagate_pde_many(V: GridFunction, functions, horizons,
                        eigenpair: EigenSolution | None = None) -> dict:
     """exp(t (D/2 + V)) of each function: {t: [u(t), ...]}, t ascending.
 
-    The stencil of V - c, scaled back by e^{c t}, c = max(V, 0).  Given V's
-    principal eigenpair (lambda, F), the Doob-normalized semigroup exp(t L) f
-    instead, L = doob_generator(eigenpair, V): that is P_t(F f) / (e^{lambda
-    t} F), computed in the frame where L 1 = 0, so the tail of F is as
-    accurate as the bulk.  Raises WeightOverflow if a state is not finite.
+    The stencil M of V - c, scaled back by e^{c t}, c = max(V, 0).  Given
+    V's principal eigenpair (lambda, F), the Doob-normalized semigroup
+    exp(t L) f instead, M = L = doob_generator(eigenpair, V), c = 0: that is
+    P_t(F f) / (e^{lambda t} F), computed in the frame where L 1 = 0, so the
+    tail of F is as accurate as the bulk.
+
+    Either M has its spectrum at or left of 0, so I - gamma M, gamma = t/10,
+    is a nonsingular M-matrix.  One _CyclicLU of it serves every function at
+    horizon t: LDL^T factors in the symmetric flat frame, pivoted LU with a
+    refined border in the Doob frame.  Each function has its own Krylov
+    space, so each result has the bits of its own one-function run.  The
+    factors are applied in increment form, v + gamma (I - gamma M)^{-1}
+    (M v), which keeps states M annihilates (constants for D/2) fixed to
+    the last bit.  Raises ValueError unless each horizon is positive and
+    finite, and WeightOverflow if a state is not finite.
     """
     if any(f.grid != V.grid for f in functions):
         raise ValueError("potential and initial condition on different grids")
@@ -160,8 +140,20 @@ def propagate_pde_many(V: GridFunction, functions, horizons,
         op = build_generator(V - c)
     else:
         c, op = 0.0, doob_generator(eigenpair, V)
-    states = _exp_action(op, [f.values for f in functions], horizons, shift=c)
-    return {t: [GridFunction(V.grid, u) for u in us] for t, us in states.items()}
+    out = {}
+    for t in sorted(set(horizons)):
+        if not 0.0 < t < np.inf:
+            raise ValueError(f"horizon must be positive and finite, got {t}")
+        gamma = t / 10.0
+        lu = _CyclicLU(op.shifted(1.0, -gamma))
+        with np.errstate(over="ignore", invalid="ignore"):
+            us = [_krylov_exp(lambda v: v + lu.solve(gamma * op.apply(v)),
+                              f.values, t, gamma, c) for f in functions]
+        if not all(np.isfinite(u).all() for u in us):
+            raise WeightOverflow(f"the propagated state at t={t} is not finite "
+                                 f"(exp overflows above 709.78)")
+        out[t] = [GridFunction(V.grid, u) for u in us]
+    return out
 
 
 def propagate_pde(V: GridFunction, f: GridFunction, cfg: PropagatorConfig,

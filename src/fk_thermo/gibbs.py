@@ -41,8 +41,9 @@ def normalized_semigroup(solution: EigenSolution, V: GridFunction,
                          f: GridFunction, t: float, dt: float) -> GridFunction:
     """Doob-normalized semigroup exp(t L) f, L = doob_generator(solution, V).
 
-    propagate_pde given the eigenpair, exact in time: dt only has to
-    divide t, as in PropagatorConfig, and is otherwise not read.
+    propagate_pde given the eigenpair, exact in time: the route does not
+    read dt, and t need not be a whole number of dt steps (only
+    PropagatorConfig.n_steps applies that rule).
     """
     return propagate_pde(V, f, PropagatorConfig(t=t, dt=dt), eigenpair=solution)
 

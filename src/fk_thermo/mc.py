@@ -46,6 +46,7 @@ import signal
 import threading
 from dataclasses import dataclass
 from math import floor, isfinite, prod
+from numbers import Integral
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -73,6 +74,9 @@ class McConfig:
     seed: int
 
     def __post_init__(self) -> None:
+        for name in ("n_paths", "seed"):
+            if not isinstance(getattr(self, name), Integral):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.n_paths < 1:
             raise ValueError(f"n_paths must be >= 1, got {self.n_paths}")
         if not self.dt > 0:

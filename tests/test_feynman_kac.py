@@ -7,7 +7,8 @@ from scipy.linalg import expm
 from fk_thermo import (GridFunction, HarmonicSpec, McConfig, NonConvergence,
                        PropagatorConfig, WeightOverflow, build_generator,
                        check_selfadjoint, gibbs_density, integrate, make_grid,
-                       principal_eigenpair, propagate_mc, propagate_pde)
+                       normalized_semigroup, principal_eigenpair, propagate_mc,
+                       propagate_pde)
 from fk_thermo.feynman_kac import propagate_pde_many
 
 from conftest import random_harmonic
@@ -27,11 +28,30 @@ class TestPropagatorConfig:
                                       (1.0, 0.0003), (float("inf"), 1e-3),
                                       (float("nan"), 1e-3)])
     def test_rejects_bad_steps(self, t, dt):
+        # Only n_steps applies the step rule; the Krylov route itself
+        # rejects the horizons that are not positive and finite.
         with pytest.raises(ValueError):
-            PropagatorConfig(t=t, dt=dt)
+            PropagatorConfig(t=t, dt=dt).n_steps
+        if not 0.0 < t < np.inf:
+            grid = make_grid(16)
+            with pytest.raises(ValueError, match="positive and finite"):
+                propagate_pde(const_fn(grid, 0.0), const_fn(grid, 1.0),
+                              PropagatorConfig(t=t, dt=dt))
 
     def test_step_count(self):
         assert PropagatorConfig(t=0.5, dt=1e-3).n_steps == 500
+
+    def test_horizon_need_not_be_whole_steps(self):
+        # 0.15005 is not a whole number of 1e-3 steps; the Krylov route does
+        # not read dt, so both wrappers return the bits of the direct call.
+        t, grid = 0.15005, make_grid(64)
+        V = HarmonicSpec(harmonics=[(1, 1.0, 0.0)]).sample(grid)
+        f = HarmonicSpec(constant=1.0, harmonics=[(1, 0.0, 0.5)]).sample(grid)
+        sol = principal_eigenpair(build_generator(V))
+        assert np.array_equal(propagate_pde(V, f, PropagatorConfig(t, 1e-3)).values,
+                              propagate_pde_many(V, [f], [t])[t][0].values)
+        assert np.array_equal(normalized_semigroup(sol, V, f, t, 1e-3).values,
+                              propagate_pde_many(V, [f], [t], eigenpair=sol)[t][0].values)
 
 
 class TestPropagatePde:

@@ -162,7 +162,7 @@ def test_step_count_shared_by_paths_and_propagation(T, dt, steps):
     with pytest.raises(ValueError, match="not an integer number"):
         simulate_paths(make_grid(8), None, 0.5, T, McConfig(1, dt, 1))
     with pytest.raises(ValueError, match="not an integer number"):
-        PropagatorConfig(t=T, dt=dt)
+        PropagatorConfig(t=T, dt=dt).n_steps
 
 
 def test_mean_and_se_squares_at_the_scale_of_the_values():
@@ -181,6 +181,25 @@ def test_mean_and_se_squares_at_the_scale_of_the_values():
 def test_step_count_rejects_non_positive_dt(dt):
     with pytest.raises(ValueError, match="dt must be positive"):
         mc.step_count(1.0, dt)
+
+
+@pytest.mark.parametrize("n_paths, seed, field", [
+    (2.5, 1, "n_paths"), (10.0, 1, "n_paths"), ("10", 1, "n_paths"),
+    (10, 1.5, "seed"), (10, 1.0, "seed"), (10, None, "seed"),
+])
+def test_config_names_a_non_integral_count_or_seed(n_paths, seed, field):
+    # Without the check these construct, and simulate_paths fails later
+    # with a bare TypeError that names neither field.
+    with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+        McConfig(n_paths=n_paths, dt=1e-3, seed=seed)
+
+
+def test_config_accepts_numpy_integers():
+    cfg = McConfig(n_paths=np.int32(3), dt=1e-3, seed=np.uint64(2**64 - 1))
+    ens = simulate_paths(make_grid(8), None, 0.5, 0.01, cfg)
+    assert np.array_equal(ens.positions,
+                          simulate_paths(make_grid(8), None, 0.5, 0.01,
+                                         McConfig(3, 1e-3, 2**64 - 1)).positions)
 
 
 def test_fixed_start_recorded_inside_unit_interval():
