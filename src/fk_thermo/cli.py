@@ -57,6 +57,10 @@ def cmd_eigen(cfg: RunConfig):
         "spectral_gap": sol.spectral_gap,
         "n": grid.n,
         "critical_points_F": critical_point_count(sol.eigenfunction),
+        "residual": sol.residual,
+        "residual_bound": sol.residual_bound,
+        "sweeps": sol.sweeps,
+        "min_F": sol.min_F,
     }
     return 0, report, tables, (f"eigen: lambda={sol.eigenvalue:.12g} "
                                f"gap={sol.spectral_gap:.6g} n={grid.n}")

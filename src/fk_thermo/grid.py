@@ -41,10 +41,14 @@ class PeriodicGrid:
             raise ValueError(f"grid size must be an integer, got {self.n!r}")
         if self.n < 4 or self.n % 2 != 0:
             raise ValueError(f"grid size must be even and >= 4, got {self.n}")
-        # np.interp's abscissae on the circle: the nodes followed by 1.0
-        knots = np.arange(self.n + 1, dtype=float) / self.n
-        knots.setflags(write=False)
+        # np.interp's abscissae on the circle, the nodes followed by 1.0, and
+        # the knot after each of them, +inf after 1.0, for the cell lookup:
+        # two views of one array
+        ends = np.append(np.arange(self.n + 1, dtype=float) / self.n, np.inf)
+        ends.setflags(write=False)
+        knots = ends[:-1]
         object.__setattr__(self, "_knots", knots)
+        object.__setattr__(self, "_next_knots", ends[1:])
         object.__setattr__(self, "_nodes", knots[:-1])
 
     @property
@@ -156,7 +160,11 @@ def periodic_reader(grid: PeriodicGrid, *functions: GridFunction):
 
     The cells are found once for all functions: floor(x n) can miss the
     cell by one where x n rounds across an integer, or where the node i/n
-    itself rounds, so one comparison on each side settles it.  Each function
+    itself rounds, so one comparison on each side settles it.  The right
+    side reads the grid's next knots, xp[i + 1] with +inf after 1.0, so a
+    cell of n (x = 1.0, or x n rounded up to n) needs no clamp: it stays at
+    n for x = 1.0, where slope 0.0 and the repeated first value give
+    np.interp's last value, and falls back to n - 1 below it.  Each function
     then takes np.interp's own formula, slope[i] (x - xp[i]) + table[i], with
     the slopes each GridFunction keeps from its first read; the bits are
     np.interp's on the n nodes followed by 1.0, with the first value repeated
@@ -164,14 +172,13 @@ def periodic_reader(grid: PeriodicGrid, *functions: GridFunction):
     array as a numpy float; inputs above _BLOCK_POINTS points are read block
     by block.
     """
-    n, xp = grid.n, grid._knots
+    n, xp, next_xp = grid.n, grid._knots, grid._next_knots
     tables = [f._table for f in functions]
 
     def lookup(x):
         i = (x * n).astype(np.intp)
-        np.minimum(i, n - 1, out=i)
         i -= xp[i] > x
-        i += xp[i + 1] <= x
+        i += next_xp[i] <= x
         offset = x - xp[i]
         return [slope[i] * offset + table[i] for table, slope in tables]
 

@@ -8,8 +8,9 @@ draws one uniform first (used for initial-law sampling when requested) and
 then its Gaussian increments.
 
 Increments are streamed: a block of paths keeps its streams open and draws
-a chunk of steps at a time into one reused buffer, so memory is
-O(block x chunk) plus the recorded positions, independent of the horizon.
+a chunk of at most _WINDOW_STEPS (512) steps at a time into one reused
+buffer, so memory is O(block x chunk) plus the recorded positions,
+independent of the horizon.
 The buffer is an anonymous mapping, like the positions, and is unmapped
 when the call returns, so its pages do not stay in the heap after it.
 Drift and potential are read off the grid by grid.periodic_reader's cell
@@ -19,10 +20,10 @@ pieces equals one drawn whole.
 
 A block of a few paths spends its time in numpy's fixed per-call cost, not
 in arithmetic, so blocks narrower than _SCALAR_PATHS walk path by path on
-Python floats over the lookup's own tables (the grid's knots and each
-GridFunction's cached table and slopes).  That walk makes the same IEEE
-operations in the same order as the vectorized step, so it changes the time
-a narrow run takes and not its bits.
+Python floats over the lookup's own tables (the grid's knots and next
+knots, and each GridFunction's cached table and slopes).  That walk makes
+the same IEEE operations in the same order as the vectorized step, so it
+changes the time a narrow run takes and not its bits.
 
 The paths split into contiguous ranges, one per usable CPU
 (os.sched_getaffinity), while every range keeps at least _MIN_RANGE_STEPS
@@ -60,7 +61,7 @@ _MAX_DOUBLES = 300_000_000  # ~2.4 GB guard: recorded positions plus increments
 _CHUNK_DOUBLES = 1 << 21  # 16 MiB increment buffer per block of paths
 _BLOCK_PATHS = 20_000  # paths stepped together
 _SCALAR_PATHS = 40  # narrower blocks step path by path on Python floats
-_WINDOW_STEPS = 4096  # most steps drawn at once: the scalar walk's window
+_WINDOW_STEPS = 512  # most steps drawn at once, by either kernel
 _WORD = 2**64 - 1  # mask of one 64-bit word of a Philox key or counter
 _MIN_RANGE_STEPS = 2**17  # fewest path-steps worth a forked process (~3 ms)
 
@@ -276,15 +277,17 @@ def _scalar_window(x, acc, increments, left, stride, dt, tables):
     """Walk one path through one window of scaled increments on Python floats.
 
     Each step makes the vectorized step's IEEE operations in its order: the
-    cell int(x n) with the cell lookup's two one-sided corrections,
-    np.interp's slope[i] (x - xp[i]) + table[i], the potential term added
-    to acc, the drift term added to the increment, then grid.wrap's
-    x - floor(x) and its >= 1.0 fix; so the bits are the vectorized ones.
-    tables is (xp, drift, potential) as lists, each function a
-    (table, slope) pair or None.  left counts the steps up to the next
-    recorded one.  Returns (x, acc, the positions recorded in the window).
+    cell int(x n) with the cell lookup's two one-sided corrections, against
+    xp[i] and the next knot (+inf after 1.0, so a cell of n needs no
+    branch of its own), np.interp's slope[i] (x - xp[i]) + table[i], the
+    potential term added to acc, the drift term added to the increment,
+    then grid.wrap's x - floor(x) and its >= 1.0 fix; so the bits are the
+    vectorized ones.  tables is (xp, next knots, drift, potential) as
+    lists, each function a (table, slope) pair or None.  left counts the
+    steps up to the next recorded one.  Returns (x, acc, the positions
+    recorded in the window).
     """
-    x_nodes, drift, potential = tables
+    x_nodes, next_nodes, drift, potential = tables
     n = len(x_nodes) - 1
     if drift is not None:
         d_table, d_slope = drift
@@ -293,11 +296,9 @@ def _scalar_window(x, acc, increments, left, stride, dt, tables):
     recorded = []
     for inc in increments:
         i = int(x * n)
-        if i == n:
-            i -= 1
         if x_nodes[i] > x:
             i -= 1
-        elif x_nodes[i + 1] <= x:
+        elif next_nodes[i] <= x:
             i += 1
         offset = x - x_nodes[i]
         if potential is not None:
@@ -335,9 +336,13 @@ def simulate_paths(
 
     Paths run in blocks of _BLOCK_PATHS.  A block keeps its paths' streams
     and draws their increments step chunk by step chunk into one reused
-    (block, chunk) buffer, chunk = min(_WINDOW_STEPS, _CHUNK_DOUBLES //
-    block) steps, at least one, so memory is O(block x chunk) plus the
-    recorded positions, whatever T is; the guard counts both.  The buffer
+    (block, chunk) buffer, chunk = min(n_steps, _WINDOW_STEPS,
+    _CHUNK_DOUBLES // block) steps, at least one, so memory is
+    O(block x chunk) plus the recorded positions, whatever T is; the guard
+    counts both.  The window of 512 steps bounds the buffer of a narrow,
+    long run (1000 paths get 1000 x 512 doubles, not 1000 x 2097) at the
+    cost of one standard_normal call per path per 512 steps; blocks of
+    4096 paths or more are bound by _CHUNK_DOUBLES instead.  The buffer
     is mapped by _shared_zeros and unmapped when the call returns.  A block of
     at least _SCALAR_PATHS paths steps them together, reading drift and
     potential through one grid.periodic_reader built per call, whose cell
@@ -403,7 +408,7 @@ def simulate_paths(
             narrow = nb < _SCALAR_PATHS
             if narrow:  # the scalar walk carries states and tables as Python floats
                 x, acc = x.tolist(), [0.0] * nb
-                scalar_tables = (grid._knots.tolist(), *(
+                scalar_tables = (grid._knots.tolist(), grid._next_knots.tolist(), *(
                     None if f is None else tuple(a.tolist() for a in f._table)
                     for f in (drift, potential)))
             col = 1

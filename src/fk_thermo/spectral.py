@@ -148,6 +148,10 @@ class EigenSolution:
     normalization   integral of eigenfunction^2 (1 by construction)
     drift           Fourier derivative of log(eigenfunction)
     spectral_gap    distance from the top eigenvalue to the second one
+    residual        max|A F - lambda F| / max F, the residual guard's value
+    residual_bound  the guard it passed, roundoff_bound(n)
+    sweeps          inverse-iteration sweeps that settled F
+    min_F           min F / max F, how far the eigenfunction's tail falls
     """
 
     eigenvalue: float
@@ -155,6 +159,10 @@ class EigenSolution:
     normalization: float
     drift: GridFunction
     spectral_gap: float
+    residual: float
+    residual_bound: float
+    sweeps: int
+    min_F: float
 
     @cached_property
     def excess(self) -> float:
@@ -166,8 +174,9 @@ _SWEEP_TOL, _MAX_SWEEPS = 1e-12, 50
 
 
 def inverse_iteration(solve: Callable[[np.ndarray], np.ndarray],
-                      start: np.ndarray) -> np.ndarray:
-    """Unit vector from normalized applications of a shifted solve.
+                      start: np.ndarray) -> tuple[np.ndarray, int]:
+    """Unit vector from normalized applications of a shifted solve, and the
+    number of sweeps (solves) it took.
 
     solve(b) returns (shift - A)^{-1} b or its negative.  Each sweep is signed
     like the one before; they stop once no node moves by more than _SWEEP_TOL
@@ -175,7 +184,7 @@ def inverse_iteration(solve: Callable[[np.ndarray], np.ndarray],
     mean, so a Perron vector comes out positive.
     """
     v = start / np.linalg.norm(start)
-    for _ in range(_MAX_SWEEPS):
+    for sweeps in range(1, _MAX_SWEEPS + 1):
         prev = v
         v = solve(prev)
         v /= np.linalg.norm(v)
@@ -183,7 +192,7 @@ def inverse_iteration(solve: Callable[[np.ndarray], np.ndarray],
             v = -v
         if np.all(np.abs(v - prev) <= _SWEEP_TOL * np.abs(v)):
             break
-    return -v if v.mean() < 0 else v
+    return (-v if v.mean() < 0 else v), sweeps
 
 
 def _check_pivots(info: int, n: int) -> None:
@@ -307,7 +316,7 @@ def principal_eigenpair(op: OperatorMatrix) -> EigenSolution:
     # shift I - A is a nonsingular M-matrix: its LDL^T factors make no row
     # exchanges, and a solve of a positive vector adds positive terms only.
     lu = _CyclicLU(op.shifted(shift, -1.0))
-    vec = inverse_iteration(lu.solve, np.ones(grid.n))
+    vec, sweeps = inverse_iteration(lu.solve, np.ones(grid.n))
     if np.any(vec <= 0.0):
         raise PositivityViolation("principal eigenvector is not positive at every node")
     # Rayleigh quotient of the refined vector beats the raw Lanczos value.
@@ -325,6 +334,10 @@ def principal_eigenpair(op: OperatorMatrix) -> EigenSolution:
         normalization=integrate(F * F),
         drift=drift,
         spectral_gap=gap,
+        residual=float(residual),
+        residual_bound=float(bound),
+        sweeps=sweeps,
+        min_F=float(vec.min() / vec.max()),
     )
 
 

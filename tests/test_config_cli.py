@@ -212,8 +212,12 @@ class TestCliCommands:
         assert code == 0
         report = json.loads((out / "eigen.json").read_text())
         assert list(report.keys()) == ["lambda", "gamma", "spectral_gap", "n",
-                                       "critical_points_F"]
+                                       "critical_points_F", "residual",
+                                       "residual_bound", "sweeps", "min_F"]
         assert report["n"] == 256
+        assert 0 <= report["residual"] <= report["residual_bound"] == 1e-9
+        assert 1 <= report["sweeps"] <= 50
+        assert 0 < report["min_F"] <= 1
         assert report["gamma"] == pytest.approx(1.0, abs=1e-12)
         header = (out / "eigen.csv").read_text().splitlines()[0]
         assert header == "x,V,F,density_muV,drift"

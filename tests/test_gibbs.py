@@ -33,6 +33,10 @@ def exact_free_solution(grid):
         normalization=1.0,
         drift=zero_fn(grid),
         spectral_gap=2 * np.pi**2,
+        residual=0.0,
+        residual_bound=1e-9,
+        sweeps=1,
+        min_F=1.0,
     )
 
 

@@ -137,15 +137,45 @@ def test_memory_guard_refuses_before_allocating():
 
 
 def test_memory_guard_counts_increment_buffer(monkeypatch):
-    # 10 endpoint-only paths over 1000 steps: 20 recorded doubles plus a
-    # 10 x 1000 increment buffer
+    # 10 endpoint-only paths: 20 recorded doubles plus a 10 x 500 increment
+    # buffer over 500 steps, inside the window, or a 10 x 512 one (the
+    # window) over 1000 steps
     grid = make_grid(64)
     cfg = McConfig(n_paths=10, dt=1e-3, seed=1)
-    monkeypatch.setattr(mc, "_MAX_DOUBLES", 10_019)
-    with pytest.raises(ValueError, match="memory guard"):
-        simulate_paths(grid, None, 0.5, 1.0, cfg)
-    monkeypatch.setattr(mc, "_MAX_DOUBLES", 10_020)
-    assert simulate_paths(grid, None, 0.5, 1.0, cfg).positions.shape == (10, 2)
+    for T, needed in ((0.5, 20 + 10 * 500), (1.0, 20 + 10 * 512)):
+        monkeypatch.setattr(mc, "_MAX_DOUBLES", needed - 1)
+        with pytest.raises(ValueError, match="memory guard"):
+            simulate_paths(grid, None, 0.5, T, cfg)
+        monkeypatch.setattr(mc, "_MAX_DOUBLES", needed)
+        assert simulate_paths(grid, None, 0.5, T, cfg).positions.shape == (10, 2)
+
+
+@pytest.mark.parametrize("n_paths, T, buffer", [
+    (100, 2.0, (100, 512)), (5000, 0.5, (5000, 419)),
+])
+def test_increment_buffer_bounded_by_window(vcos512, eig_cos512, monkeypatch,
+                                            n_paths, T, buffer):
+    # Endpoint-only runs map positions, integrals, then increments.  100
+    # paths over 2000 steps draw 512 steps at a time; 5000 paths over 500
+    # steps keep 2^21 // 5000 = 419.  Neither chunking moves a bit: both
+    # equal a run drawing 7 steps at a time.
+    shapes, shared_zeros = [], mc._shared_zeros
+
+    def recorded(shape):
+        shapes.append(shape)
+        return shared_zeros(shape)
+
+    monkeypatch.setattr(mc, "_shared_zeros", recorded)
+    cfg = McConfig(n_paths=n_paths, dt=1e-3, seed=14)
+    runs = []
+    for window in (mc._WINDOW_STEPS, 7):
+        monkeypatch.setattr(mc, "_WINDOW_STEPS", window)
+        runs.append(simulate_paths(vcos512.grid, eig_cos512.drift, 0.3, T, cfg,
+                                   potential=vcos512))
+    assert shapes[:3] == [(n_paths, 2), (n_paths,), buffer]
+    assert shapes[5] == (n_paths, 7)
+    assert np.array_equal(runs[0].positions, runs[1].positions)
+    assert np.array_equal(runs[0].potential_integrals, runs[1].potential_integrals)
 
 
 @pytest.mark.parametrize("T, dt, steps", [
@@ -252,7 +282,7 @@ def test_scalar_walk_identical_to_reference(vcos512, eig_cos512, monkeypatch,
 
 
 def test_scalar_and_vectorized_walks_agree(vcos512, eig_cos512, monkeypatch):
-    # 9000 steps: the default window leaves a ragged last window of 808
+    # 9000 steps: the default window leaves a ragged last window of 296
     cfg = McConfig(n_paths=5, dt=1e-3, seed=13)
     runs = []
     for crossover in (0, 10**9):

@@ -270,9 +270,28 @@ class TestPrincipalEigenpair:
             calls.append(1)
             return np.roll(b, 1)
 
-        v = spectral.inverse_iteration(rotate, np.arange(1.0, 65.0))
-        assert len(calls) == spectral._MAX_SWEEPS
+        v, sweeps = spectral.inverse_iteration(rotate, np.arange(1.0, 65.0))
+        assert len(calls) == sweeps == spectral._MAX_SWEEPS
         assert v.shape == (64,) and np.linalg.norm(v) == pytest.approx(1.0)
+
+    def test_health_numbers_are_the_guards_own(self, vcos512, monkeypatch):
+        # The residual, its bound, the sweep count and min F / max F are the
+        # numbers the solve computed, not estimates made after it.
+        op = build_generator(vcos512)
+        counted, inverse_iteration = [], spectral.inverse_iteration
+
+        def counting(solve, start):
+            v, sweeps = inverse_iteration(solve, start)
+            counted.append(sweeps)
+            return v, sweeps
+
+        monkeypatch.setattr(spectral, "inverse_iteration", counting)
+        sol = principal_eigenpair(op)
+        F = sol.eigenfunction.values
+        assert sol.residual == np.max(np.abs(op.apply(F) - sol.eigenvalue * F)) / F.max()
+        assert sol.residual <= sol.residual_bound == roundoff_bound(512)
+        assert [sol.sweeps] == counted and 1 <= sol.sweeps < spectral._MAX_SWEEPS
+        assert sol.min_F == F.min() / F.max() and 0 < sol.min_F < 1
 
     def test_degenerate_gap_raises(self, grid512):
         zero = np.zeros(grid512.n)
@@ -304,7 +323,7 @@ class TestPrincipalEigenpair:
     def test_residual_guard_raises_nonconvergence(self, vcos512, monkeypatch):
         # A positive vector that is not an eigenvector trips the residual guard.
         def wrong_vector(solve, start):
-            return 2.0 + np.sin(2 * np.pi * vcos512.grid.nodes)
+            return 2.0 + np.sin(2 * np.pi * vcos512.grid.nodes), 1
         monkeypatch.setattr(spectral, "inverse_iteration", wrong_vector)
         with pytest.raises(NonConvergence, match="residual"):
             principal_eigenpair(build_generator(vcos512))
