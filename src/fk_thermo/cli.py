@@ -29,7 +29,7 @@ from . import __version__
 from .config import ConfigError, RunConfig, parse_config
 from .feynman_kac import propagate_mc, propagate_pde_many
 from .gibbs import bin_density, histogram_density, rn_weights, simulate_sde, tv_distance
-from .grid import GridFunction, HarmonicSpec, function_from_csv, integrate
+from .grid import GridFunction, HarmonicSpec, integrate
 from .mc import McConfig, mean_and_se
 from .serialize import write_csv, write_json
 from .spectral import (NumericalFailure, build_generator, critical_point_count,
@@ -41,7 +41,7 @@ from .thermo import (admissible_from_eigen, admissible_from_values,
 
 def _solve(cfg: RunConfig):
     grid = cfg.build_grid()
-    V = cfg.build_potential(grid)
+    V = cfg.build_function("potential", grid)
     solution = principal_eigenpair(build_generator(V))
     return grid, V, solution
 
@@ -68,8 +68,8 @@ def cmd_eigen(cfg: RunConfig):
 
 def cmd_propagate(cfg: RunConfig):
     grid = cfg.build_grid()
-    V = cfg.build_potential(grid)
-    f = cfg.build_g(grid)
+    V = cfg.build_function("potential", grid)
+    f = cfg.build_function("g", grid)
     if not f.values.any():  # a zero [g] starts from the constant 1
         f = GridFunction(grid, np.ones(grid.n))
     tables = {}
@@ -89,7 +89,7 @@ def cmd_propagate(cfg: RunConfig):
 
 def cmd_simulate(cfg: RunConfig):
     grid = cfg.build_grid()
-    V = cfg.build_potential(grid)
+    V = cfg.build_function("potential", grid)
     sol = None
     if cfg.drift == "doob" or cfg.init == "density:muV":
         sol = principal_eigenpair(build_generator(V))
@@ -98,23 +98,10 @@ def cmd_simulate(cfg: RunConfig):
         drift = sol.drift
         target = gibbs_density(sol)
     else:
-        ad = admissible_from_values(cfg.build_g(grid))
+        ad = admissible_from_values(cfg.build_function("g", grid))
         drift = ad.drift
         target = ad.density
-
-    if cfg.init.startswith("point:"):
-        start: float | GridFunction = float(cfg.init.split(":", 1)[1])
-    elif cfg.init == "density:muV":
-        start = gibbs_density(sol)
-    else:
-        path = cfg.init.split(":", 1)[1]
-        raw = function_from_csv(path, grid)
-        if np.any(raw.values < 0):
-            raise ConfigError(f"initial density {path} has negative entries")
-        total = integrate(raw)
-        if abs(total - 1.0) > 1e-8:
-            raise ConfigError(f"initial density {path} integrates to {total}, not 1")
-        start = GridFunction(grid, raw.values / total)
+    start = cfg.initial_state(grid, gibbs_density(sol) if sol else None)
 
     target_bins = bin_density(target, cfg.bins)  # rejects bins not dividing n
     mc = McConfig(n_paths=cfg.paths, dt=cfg.dt, seed=cfg.seed)
@@ -142,7 +129,7 @@ def cmd_entropy(cfg: RunConfig):
     if cfg.g_use == "doob":
         ad = admissible_from_eigen(sol, V)
     else:
-        ad = admissible_from_values(cfg.build_g(grid))
+        ad = admissible_from_values(cfg.build_function("g", grid))
     report = entropy_report(ad, V, sol)
     return 0, report, {}, (
         f"entropy: H={report['entropy']:.12g} pressure={report['pressure']:.12g} "

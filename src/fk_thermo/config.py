@@ -4,11 +4,12 @@ Grammar (line oriented): `[section]` headers, `key = value` entries, `#`
 starts a comment.  Values are integers, decimals, bare strings, or bracketed
 numeric lists like [[1,1,0],[2,0,0.5]].  Sections and keys outside the
 schema, duplicate keys, non-finite numbers (inf, nan, or a literal such as
-1e999 that overflows), per-key sign and enumeration violations, and a grid
+1e999 that overflows), values that break their _SCHEMA row's rule, a grid
 size or harmonic sum (constant included) that make_grid or HarmonicSpec
-rejects are all rejected with the offending line or key named.  Rules that
-tie keys to a command (bins dividing n for simulate, K <= n/4 for maximize)
-are checked by the library function that command calls.
+rejects or that cannot be allocated, and a malformed run.init are rejected
+with the offending line or key named; the rows are checked first, in order.
+Rules that tie keys to a command (bins dividing n for simulate, K <= n/4
+for maximize) are checked by the library function that command calls.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ import ast
 import math
 from dataclasses import make_dataclass
 
-from .grid import GridFunction, HarmonicSpec, PeriodicGrid, function_from_csv, make_grid
+from .grid import (GridFunction, HarmonicSpec, PeriodicGrid, function_from_csv,
+                   integrate, make_grid)
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "parse_override"]
 
@@ -26,35 +28,42 @@ class ConfigError(ValueError):
     """Malformed or invalid run configuration."""
 
 
-# One row per key: (section, key, type, default).  The row order is the
+# One row per key: (section, key, type, default, rule).  The row order is the
 # meta.json echo order.  Keys of [grid] and [run] become RunConfig attributes
 # of the same name; those of [potential] and [g] get the section as a prefix.
-_SCHEMA: tuple[tuple[str, str, type, object], ...] = (
-    ("grid", "n", int, 512),
-    ("potential", "constant", float, 0.0),
-    ("potential", "harmonics", tuple, ()),
-    ("potential", "csv", str, None),
-    ("run", "t", float, 0.5),
-    ("run", "dt", float, 1e-3),
-    ("run", "T", float, 1.0),
-    ("run", "paths", int, 10_000),
-    ("run", "seed", int, 42),
-    ("run", "K", int, 8),
-    ("run", "lr", float, 0.2),
-    ("run", "iters", int, 500),
-    ("run", "bins", int, 64),
-    ("run", "x", float, 0.25),
-    ("run", "method", str, "pde"),
-    ("run", "init", str, "density:muV"),
-    ("run", "drift", str, "doob"),
-    ("run", "out", str, "."),
-    ("run", "save_paths", int, 0),
-    ("g", "constant", float, 0.0),
-    ("g", "harmonics", tuple, ()),
-    ("g", "csv", str, None),
-    ("g", "use", str, "spec"),
+# A rule is the tuple of allowed values, a _BOUNDS phrase, or None.
+_SCHEMA: tuple[tuple[str, str, type, object, object], ...] = (
+    ("grid", "n", int, 512, None),
+    ("potential", "constant", float, 0.0, None),
+    ("potential", "harmonics", tuple, (), None),
+    ("potential", "csv", str, None, None),
+    ("run", "t", float, 0.5, "be positive"),
+    ("run", "dt", float, 1e-3, "be positive"),
+    ("run", "T", float, 1.0, "be positive"),
+    ("run", "paths", int, 10_000, "be a positive integer"),
+    ("run", "seed", int, 42, "fit in uint64"),
+    ("run", "K", int, 8, "be a positive integer"),
+    ("run", "lr", float, 0.2, "be positive"),
+    ("run", "iters", int, 500, "be a positive integer"),
+    ("run", "bins", int, 64, "be at least 2"),
+    ("run", "x", float, 0.25, None),
+    ("run", "method", str, "pde", ("pde", "mc")),
+    ("run", "init", str, "density:muV", None),
+    ("run", "drift", str, "doob", ("doob", "g-spec")),
+    ("run", "out", str, ".", None),
+    ("run", "save_paths", int, 0, (0, 1)),
+    ("g", "constant", float, 0.0, None),
+    ("g", "harmonics", tuple, (), None),
+    ("g", "csv", str, None, None),
+    ("g", "use", str, "spec", ("spec", "doob")),
 )
-_TYPES = {(section, key): kind for section, key, kind, _ in _SCHEMA}
+_TYPES = {(section, key): kind for section, key, kind, *_ in _SCHEMA}
+_BOUNDS = {
+    "be positive": lambda value: value > 0,
+    "be a positive integer": lambda value: value >= 1,
+    "fit in uint64": lambda value: 0 <= value < 2**64,
+    "be at least 2": lambda value: value >= 2,
+}
 
 
 def _attribute(section: str, key: str) -> str:
@@ -67,23 +76,36 @@ class _RunConfigMethods:
     def build_grid(self) -> PeriodicGrid:
         return make_grid(self.n)
 
-    def build_potential(self, grid: PeriodicGrid) -> GridFunction:
-        if self.potential_csv is not None:
-            return function_from_csv(self.potential_csv, grid)
-        spec = HarmonicSpec(constant=self.potential_constant,
-                            harmonics=self.potential_harmonics)
-        return spec.sample(grid)
+    def build_function(self, section: str, grid: PeriodicGrid) -> GridFunction:
+        """The [potential] or [g] section on grid: its CSV if one is given,
+        otherwise its harmonic sum."""
+        csv = getattr(self, _attribute(section, "csv"))
+        if csv is not None:
+            return function_from_csv(csv, grid)
+        return HarmonicSpec(getattr(self, _attribute(section, "constant")),
+                            getattr(self, _attribute(section, "harmonics"))).sample(grid)
 
-    def build_g(self, grid: PeriodicGrid) -> GridFunction:
-        if self.g_csv is not None:
-            return function_from_csv(self.g_csv, grid)
-        spec = HarmonicSpec(constant=self.g_constant, harmonics=self.g_harmonics)
-        return spec.sample(grid)
+    def initial_state(self, grid: PeriodicGrid,
+                      mu_V: GridFunction | None) -> float | GridFunction:
+        """simulate's start from run.init: the point of point:<x>, mu_V for
+        density:muV, or the nonnegative unit-mass density in a CSV."""
+        kind, _, value = self.init.partition(":")
+        if kind == "point":
+            return float(value)
+        if value == "muV":
+            return mu_V
+        raw = function_from_csv(value, grid)
+        if raw.values.min() < 0:
+            raise ConfigError(f"initial density {value} has negative entries")
+        total = integrate(raw)
+        if abs(total - 1.0) > 1e-8:
+            raise ConfigError(f"initial density {value} integrates to {total}, not 1")
+        return GridFunction(grid, raw.values / total)
 
     def resolved(self) -> dict:
         """Plain dict echo of every effective setting, for meta.json."""
         out: dict[str, dict] = {}
-        for section, key, kind, _ in _SCHEMA:
+        for section, key, kind, *_ in _SCHEMA:
             value = getattr(self, _attribute(section, key))
             if kind is tuple:
                 value = [list(h) for h in value]
@@ -93,7 +115,7 @@ class _RunConfigMethods:
 
 RunConfig = make_dataclass(
     "RunConfig",
-    [(_attribute(section, key), kind) for section, key, kind, _ in _SCHEMA],
+    [(_attribute(section, key), kind) for section, key, kind, *_ in _SCHEMA],
     bases=(_RunConfigMethods,),
     namespace={
         "__module__": __name__,
@@ -114,17 +136,12 @@ def _parse_value(section: str, key: str, text: str, where: str):
         if not isinstance(parsed, (list, tuple)):
             raise ConfigError(f"{where}: {key} must be a bracketed list")
         return tuple(parsed)
-    if expected is int:
+    if expected in (int, float):
         try:
-            value = int(text)
+            return expected(text)
         except ValueError as exc:
-            raise ConfigError(f"{where}: {key} must be an integer, got {text!r}") from exc
-        return value
-    if expected is float:
-        try:
-            return float(text)
-        except ValueError as exc:
-            raise ConfigError(f"{where}: {key} must be a number, got {text!r}") from exc
+            noun = "an integer" if expected is int else "a number"
+            raise ConfigError(f"{where}: {key} must be {noun}, got {text!r}") from exc
     return text
 
 
@@ -168,65 +185,50 @@ def parse_override(token: str) -> tuple[str, str, object]:
 
 
 def _validate(entries: dict[tuple[str, str], object]) -> RunConfig:
-    merged = {(section, key): default for section, key, _, default in _SCHEMA}
+    merged = {(section, key): default for section, key, _, default, _ in _SCHEMA}
     merged.update(entries)
-
-    def get(section: str, key: str):
-        return merged[(section, key)]
 
     def check(cond: bool, message: str) -> None:
         if not cond:
             raise ConfigError(message)
 
-    for (section, key), kind in _TYPES.items():
+    for section, key, kind, _, rule in _SCHEMA:
+        value, name = merged[(section, key)], f"{section}.{key}"
         if kind is float:
-            value = get(section, key)
-            check(math.isfinite(value), f"{section}.{key} must be finite, got {value}")
+            check(math.isfinite(value), f"{name} must be finite, got {value}")
+        if isinstance(rule, tuple):
+            check(value in rule,
+                  f"{name} must be {' or '.join(map(str, rule))}, got {value!r}")
+        elif rule is not None:
+            check(_BOUNDS[rule](value), f"{name} must {rule}, got {value}")
 
     try:
-        grid = make_grid(get("grid", "n"))
-    except ValueError as exc:
+        grid = make_grid(merged[("grid", "n")])
+    except (ValueError, MemoryError) as exc:
         raise ConfigError(f"grid.n: {exc}") from None
     for section in ("potential", "g"):
         try:
-            spec = HarmonicSpec(get(section, "constant"), get(section, "harmonics"))
+            spec = HarmonicSpec(merged[(section, "constant")],
+                                merged[(section, "harmonics")])
             spec.sample(grid)
         except ValueError as exc:
             raise ConfigError(f"{section}.harmonics: {exc}") from None
         merged[(section, "harmonics")] = spec.harmonics
 
-    for key in ("dt", "t", "T", "lr"):
-        value = get("run", key)
-        check(value > 0, f"run.{key} must be positive, got {value}")
-    for key in ("paths", "K", "iters"):
-        value = get("run", key)
-        check(value >= 1, f"run.{key} must be a positive integer, got {value}")
-    seed = get("run", "seed")
-    check(0 <= seed < 2**64, f"run.seed must fit in uint64, got {seed}")
-    bins = get("run", "bins")
-    check(bins >= 2, f"run.bins must be at least 2, got {bins}")
-    method = get("run", "method")
-    check(method in ("pde", "mc"), f"run.method must be pde or mc, got {method!r}")
-    init = get("run", "init")
+    init = merged[("run", "init")]
     check(init.startswith(("point:", "density:")),
           f"run.init must be point:<x> or density:muV or density:<csv>, got {init!r}")
-    if init.startswith("point:"):
+    kind, _, point = init.partition(":")
+    if kind == "point":
         try:
-            point = float(init.split(":", 1)[1])
+            point = float(point)
         except ValueError:
             raise ConfigError(f"run.init point value is not a number: {init!r}")
         check(math.isfinite(point), f"run.init point must be finite, got {init!r}")
-    drift = get("run", "drift")
-    check(drift in ("doob", "g-spec"),
-          f"run.drift must be doob or g-spec, got {drift!r}")
-    use = get("g", "use")
-    check(use in ("spec", "doob"), f"g.use must be spec or doob, got {use!r}")
-    save_paths = get("run", "save_paths")
-    check(save_paths in (0, 1), f"run.save_paths must be 0 or 1, got {save_paths}")
 
     return RunConfig(
         **{_attribute(section, key): merged[(section, key)]
-           for section, key, _, _ in _SCHEMA})
+           for section, key, *_ in _SCHEMA})
 
 
 def parse_config(text: str, overrides: list[str] | None = None) -> RunConfig:

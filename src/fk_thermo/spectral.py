@@ -316,15 +316,18 @@ def principal_eigenpair(op: OperatorMatrix) -> EigenSolution:
     # shift I - A is a nonsingular M-matrix: its LDL^T factors make no row
     # exchanges, and a solve of a positive vector adds positive terms only.
     lu = _CyclicLU(op.shifted(shift, -1.0))
-    vec, sweeps = inverse_iteration(lu.solve, np.ones(grid.n))
-    if np.any(vec <= 0.0):
+    # An underflowing solve leaves a zero norm and an infinite vector; the
+    # guard below fails it, and a NaN, with no numpy warning.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        vec, sweeps = inverse_iteration(lu.solve, np.ones(grid.n))
+    if not np.all((vec > 0.0) & (vec < np.inf)):
         raise PositivityViolation("principal eigenvector is not positive at every node")
     # Rayleigh quotient of the refined vector beats the raw Lanczos value.
     lam = float(vec @ op.apply(vec) / (vec @ vec))
     vec = vec / np.sqrt(grid.h * np.sum(vec**2))
     residual = np.max(np.abs(op.apply(vec) - lam * vec)) / np.max(np.abs(vec))
     bound = roundoff_bound(grid.n)
-    if residual > bound:
+    if not residual <= bound:
         raise NonConvergence(f"eigenpair residual {residual:.3e} exceeds {bound:.3e}")
     F = GridFunction(grid, vec)
     drift = derivative(GridFunction(grid, np.log(vec)), 1)

@@ -13,7 +13,7 @@ import pytest
 import fk_thermo.mc as mc
 from fk_thermo import __version__, cli
 from fk_thermo.cli import main, run_verify
-from fk_thermo.config import ConfigError, parse_config
+from fk_thermo.config import _SCHEMA, ConfigError, parse_config
 from fk_thermo.grid import HarmonicSpec, function_from_csv, make_grid
 from fk_thermo.serialize import _BLOCK_ROWS, format_number, write_csv, write_json
 from fk_thermo.spectral import NumericalFailure, _CyclicLU
@@ -58,6 +58,26 @@ harmonics = [[2, 0.1, 0.2]]
 csv = g.csv
 use = doob
 """
+
+# At least one fault per _SCHEMA row that carries a rule, with the message
+# each rule gave when it was written out by hand in the validator.
+RULE_FAULTS = [
+    ("--run.t=0", "run.t must be positive, got 0.0"),
+    ("--run.dt=-1", "run.dt must be positive, got -1.0"),
+    ("--run.T=-2.5", "run.T must be positive, got -2.5"),
+    ("--run.paths=0", "run.paths must be a positive integer, got 0"),
+    ("--run.seed=-1", "run.seed must fit in uint64, got -1"),
+    ("--run.seed=18446744073709551616",
+     "run.seed must fit in uint64, got 18446744073709551616"),
+    ("--run.K=-3", "run.K must be a positive integer, got -3"),
+    ("--run.lr=0", "run.lr must be positive, got 0.0"),
+    ("--run.iters=0", "run.iters must be a positive integer, got 0"),
+    ("--run.bins=1", "run.bins must be at least 2, got 1"),
+    ("--run.method=xyz", "run.method must be pde or mc, got 'xyz'"),
+    ("--run.drift=up", "run.drift must be doob or g-spec, got 'up'"),
+    ("--run.save_paths=2", "run.save_paths must be 0 or 1, got 2"),
+    ("--g.use=both", "g.use must be spec or doob, got 'both'"),
+]
 
 
 class TestParseConfig:
@@ -160,6 +180,54 @@ class TestParseConfig:
             parse_config("[run]\nbins = 1\n")
         with pytest.raises(ConfigError, match="run.K"):
             parse_config("[run]\nK = 0\n")
+
+    @pytest.mark.parametrize("override, message", RULE_FAULTS)
+    def test_each_rule_row_names_its_fault(self, override, message):
+        with pytest.raises(ConfigError) as info:
+            parse_config("", overrides=[override])
+        assert str(info.value) == message
+
+    def test_every_rule_row_has_a_fault_case(self):
+        faulted = {override[2:].split("=")[0] for override, _ in RULE_FAULTS}
+        assert faulted == {f"{section}.{key}" for section, key, *_, rule in _SCHEMA
+                           if rule is not None}
+
+    def test_initial_state_reads_each_init_form(self, tmp_path):
+        grid = make_grid(8)
+        mu_V = HarmonicSpec(constant=1.0).sample(grid)
+
+        def start(init):
+            cfg = parse_config("[grid]\nn = 8\n", overrides=[f"--run.init={init}"])
+            return cfg.initial_state(grid, mu_V)
+
+        def density(name, values):
+            path = tmp_path / f"{name}.csv"
+            path.write_text("x,value\n" + "".join(
+                f"{x!r},{v!r}\n" for x, v in zip(grid.nodes.tolist(), values)))
+            return path
+
+        cosine = np.cos(2 * np.pi * grid.nodes)
+        assert start("point:0.125") == 0.125
+        assert start("density:muV") is mu_V
+        good = start(f"density:{density('good', (1 + 0.5 * cosine).tolist())}")
+        np.testing.assert_allclose(good.values, 1 + 0.5 * cosine, rtol=1e-14)
+        negative = density("negative", (1 + 1.5 * cosine).tolist())
+        with pytest.raises(ConfigError) as info:
+            start(f"density:{negative}")
+        assert str(info.value) == f"initial density {negative} has negative entries"
+        half = density("half", [0.5] * 8)
+        with pytest.raises(ConfigError) as info:
+            start(f"density:{half}")
+        assert str(info.value) == f"initial density {half} integrates to 0.5, not 1"
+
+    @pytest.mark.parametrize("overrides, message", [
+        (["--run.dt=0", "--run.t=-1"], "run.t must be positive, got -1.0"),
+        (["--run.K=0", "--run.lr=0"], "run.K must be a positive integer, got 0"),
+    ])
+    def test_several_bad_keys_name_the_first_row(self, overrides, message):
+        with pytest.raises(ConfigError) as info:
+            parse_config("", overrides=overrides)
+        assert str(info.value) == message
 
     @pytest.mark.parametrize("value, entry", [
         ('[["a",1,0]]', ["a", 1, 0]),
@@ -469,6 +537,25 @@ class TestCliCommands:
         assert err == ["fk-thermo: potential.harmonics: grid function values "
                        "must be finite"]
         assert not out.exists()
+
+    def test_unallocatable_grid_named_at_parse_time(self, tmp_path, capsys):
+        # 10^17 nodes exceed any 64-bit address space, 57-bit included, so
+        # numpy's MemoryError comes before anything is allocated.
+        out = tmp_path / "out"
+        assert main(["eigen", "--grid.n=100000000000000000", f"--run.out={out}"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("fk-thermo: grid.n: Unable to allocate ")
+        assert not out.exists()
+
+    def test_amplitude_past_the_supported_range_exits_3(self, tmp_path, capsys):
+        # At 1e200 inverse iteration's solves underflow and return an
+        # infinite vector; the run names it, with no numpy warning.
+        assert main(["eigen", "--grid.n=64", "--potential.harmonics=[[1,1e200,0]]",
+                     f"--run.out={tmp_path}"]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "fk-thermo: PositivityViolation: principal eigenvector is not "
+            "positive at every node"]
 
     @pytest.mark.parametrize("n", [4, 6])
     @pytest.mark.parametrize("argv", [["entropy", "--g.use=doob"], ["verify"]],

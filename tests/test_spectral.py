@@ -336,6 +336,15 @@ class TestPrincipalEigenpair:
         with pytest.raises(DegenerateGap):
             principal_eigenpair(op)
 
+    @pytest.mark.parametrize("amplitude", [1e200, 1e300])
+    def test_underflowing_solve_names_its_error(self, amplitude):
+        # The solves underflow, so a sweep divides by a zero norm and returns
+        # an infinite vector, which must fail the positivity guard; a numpy
+        # warning leaking from the solve fails the test.
+        V = HarmonicSpec(harmonics=[(1, amplitude, 0.0)]).sample(make_grid(64))
+        with pytest.raises(PositivityViolation):
+            principal_eigenpair(build_generator(V))
+
     def test_positivity_guard_raises(self, grid512):
         # Negated Laplacian: the top eigenvector is the most oscillatory mode.
         op = laplacian_half(grid512).shifted(0.0, -1.0)

@@ -155,6 +155,13 @@ class TestRelativeEntropy:
         with pytest.raises(EntropyMismatch):
             relative_entropy(broken)
 
+    def test_overflowing_drift_raises(self):
+        # The drift's square overflows, and inf * 0 where the density
+        # underflows makes both forms NaN, which the cross-check must reject.
+        g = HarmonicSpec(harmonics=[(1, 1e300, 0.0)]).sample(make_grid(64))
+        with pytest.raises(EntropyMismatch):
+            relative_entropy(admissible_from_values(g))
+
 
 class TestEntropyFiniteTMc:
     def test_flat_potential_exact_zero(self, grid512):
@@ -376,6 +383,17 @@ class TestMaximizePressure:
         assert result.stop == "flat"
         lam = principal_eigenpair(build_generator(V)).eigenvalue
         assert lam - 1e-2 < result.value <= lam + 1e-8
+
+    def test_overflowing_trial_step_is_rejected(self):
+        # At lr = 1e300 the first trial drift's square overflows; the ascent
+        # must shrink that step, as it does any EntropyMismatch, and reach the
+        # answer of lr = 1e150 instead of reading a NaN pressure as "flat".
+        V = HarmonicSpec(harmonics=[(1, 1.0, 0.0)]).sample(make_grid(64))
+        huge = maximize_pressure(V, K=2, lr=1e300, iters=500)
+        large = maximize_pressure(V, K=2, lr=1e150, iters=500)
+        assert huge.stop == large.stop == "gradient"
+        assert len(huge.trace) == len(large.trace) == 7
+        assert huge.value == pytest.approx(large.value, abs=1e-15)
 
     @pytest.mark.parametrize("n", [64, 256, 4096])
     def test_variation_matches_central_differences(self, n):
