@@ -27,8 +27,7 @@ from .mc import McConfig, mean_and_se, simulate_paths, step_count
 from .spectral import (EigenSolution, NonConvergence, NumericalFailure, _CyclicLU,
                        build_generator, doob_generator)
 
-__all__ = ["PropagatorConfig", "propagate_pde", "propagate_pde_many", "propagate_mc",
-           "check_selfadjoint", "WeightOverflow"]
+__all__ = ["propagate_pde_many", "propagate_mc", "check_selfadjoint", "WeightOverflow"]
 
 
 class WeightOverflow(NumericalFailure):
@@ -38,7 +37,8 @@ class WeightOverflow(NumericalFailure):
 
 @dataclass(frozen=True)
 class PropagatorConfig:
-    """Horizon t and step dt of a propagate_pde call.
+    """Horizon t and step dt of a propagate_pde call; kept for perfbench until
+    ROADMAP item 17 (use propagate_pde_many and mc.step_count instead).
 
     The Krylov route is exact in time and does not read dt; only n_steps
     applies the step rule, raising unless t is a whole number of steps.
@@ -158,7 +158,8 @@ def propagate_pde_many(V: GridFunction, functions, horizons,
 
 def propagate_pde(V: GridFunction, f: GridFunction, cfg: PropagatorConfig,
                   eigenpair: EigenSolution | None = None) -> GridFunction:
-    """propagate_pde_many of the one function f at the one horizon cfg.t."""
+    """propagate_pde_many of the one function f at the one horizon cfg.t; kept
+    for perfbench until ROADMAP item 17 (call propagate_pde_many instead)."""
     return propagate_pde_many(V, [f], [cfg.t], eigenpair)[cfg.t][0]
 
 

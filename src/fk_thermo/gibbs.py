@@ -27,7 +27,6 @@ __all__ = [
     "normalized_semigroup",
     "generator_apply",
     "invariance_residual",
-    "simulate_sde",
     "drift_weight_integrand",
     "rn_weights",
     "rn_weights_admissible",
@@ -66,7 +65,8 @@ def simulate_sde(
     potential: GridFunction | None = None,
     record_stride: int | None = 1,
 ) -> PathEnsemble:
-    """Euler-Maruyama ensemble for dX = drift(X) dt + dW on the circle."""
+    """Euler-Maruyama ensemble for dX = drift(X) dt + dW on the circle; kept for
+    perfbench until ROADMAP item 17 (call mc.simulate_paths instead)."""
     return simulate_paths(drift.grid, drift, start, T, cfg,
                           potential=potential, record_stride=record_stride)
 

@@ -295,10 +295,11 @@ def function_from_csv(path, grid: PeriodicGrid) -> GridFunction:
 
     The x column must reproduce the nodes i/n (up to 1e-12 print roundoff);
     values are used verbatim.  A header or row with another column count, or
-    a non-finite entry, raises ValueError naming its line.
+    a non-finite entry, raises ValueError naming its line.  The file is read
+    as UTF-8, and a leading byte-order mark (as spreadsheets write) is skipped.
     """
     xs, vals = [], []
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
 
         def two_columns(row):

@@ -11,11 +11,12 @@ raises ValueError and leaves no file.
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
 
-__all__ = ["format_number", "dumps_json", "write_json", "write_csv"]
+__all__ = ["format_number", "write_json", "write_csv"]
 
 # Rows converted to Python scalars at once: bounds what a table of any length
 # holds.  Blocks of 4096 rows left more of the heap in use after the write.
@@ -37,7 +38,7 @@ def _encode(obj) -> str:
     if obj is None:
         return "null"
     if isinstance(obj, str):
-        return '"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"'
+        return json.dumps(obj, ensure_ascii=False)
     if isinstance(obj, (bool, np.bool_, int, np.integer, float, np.floating)):
         return format_number(obj)
     if isinstance(obj, dict):
@@ -48,13 +49,9 @@ def _encode(obj) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def dumps_json(obj) -> str:
-    return _encode(obj) + "\n"
-
-
 def write_json(path, obj) -> None:
     """Write obj as JSON; a value that cannot be serialized leaves no file."""
-    text = dumps_json(obj)
+    text = _encode(obj) + "\n"
     with open(path, "w", newline="") as fh:
         fh.write(text)
 

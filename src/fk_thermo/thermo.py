@@ -37,7 +37,6 @@ __all__ = [
     "AdmissibleDrift",
     "DecompositionMismatch",
     "EntropyMismatch",
-    "NonConvergence",
     "MaximizeResult",
     "admissible_from_values",
     "admissible_from_eigen",

@@ -11,17 +11,18 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from fk_thermo import (GridFunction, HarmonicSpec, McConfig, PropagatorConfig,
+from fk_thermo import (GridFunction, HarmonicSpec, McConfig,
                        admissible_from_eigen, admissible_from_values,
                        build_generator, carre_du_champ,
                        check_selfadjoint, critical_point_count, derivative,
                        entropy_finite_T_mc, gibbs_density, integrate,
                        make_grid, maximize_pressure, normalized_semigroup,
                        pressure_gap, pressure_value, principal_eigenpair,
-                       propagate_mc, propagate_pde, relative_entropy,
-                       rn_weights, rn_weights_admissible, simulate_sde,
+                       propagate_mc, relative_entropy,
+                       rn_weights, rn_weights_admissible,
                        tv_distance)
-from fk_thermo.gibbs import bin_density, histogram_density
+from fk_thermo.feynman_kac import PropagatorConfig, propagate_pde
+from fk_thermo.gibbs import bin_density, histogram_density, simulate_sde
 
 from conftest import random_harmonic
 from oracles import richardson_eigenvalue

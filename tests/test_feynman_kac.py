@@ -5,11 +5,11 @@ import pytest
 from scipy.linalg import expm
 
 from fk_thermo import (GridFunction, HarmonicSpec, McConfig, NonConvergence,
-                       PropagatorConfig, WeightOverflow, build_generator,
+                       WeightOverflow, build_generator,
                        check_selfadjoint, gibbs_density, integrate, make_grid,
                        normalized_semigroup, principal_eigenpair, propagate_mc,
-                       propagate_pde)
-from fk_thermo.feynman_kac import propagate_pde_many
+                       propagate_pde_many)
+from fk_thermo.feynman_kac import PropagatorConfig, propagate_pde
 
 from conftest import random_harmonic
 from oracles import dense_semigroup, fd_operator

@@ -8,10 +8,11 @@ from fk_thermo import (EigenSolution, GridFunction, HarmonicSpec, McConfig,
                        build_generator, derivative, generator_apply,
                        gibbs_density, integrate, invariance_residual,
                        make_grid, normalized_semigroup, principal_eigenpair,
-                       rn_weights, rn_weights_admissible, simulate_sde,
+                       rn_weights, rn_weights_admissible,
                        tv_distance)
-from fk_thermo.gibbs import bin_density, drift_weight_integrand, histogram_density
-from fk_thermo.mc import PathEnsemble, sample_from_density
+from fk_thermo.gibbs import (bin_density, drift_weight_integrand, histogram_density,
+                             simulate_sde)
+from fk_thermo.mc import PathEnsemble, sample_from_density, simulate_paths
 
 from conftest import random_harmonic
 from oracles import dense_semigroup, fd_operator
@@ -158,6 +159,18 @@ class TestSimulateSde:
         a = simulate_sde(eig_cos512.drift, 0.1, 0.05, cfg, record_stride=None)
         b = simulate_sde(eig_cos512.drift, 0.1, 0.05, cfg, record_stride=None)
         assert np.array_equal(a.positions, b.positions)
+
+    @pytest.mark.parametrize("stride", [1, None])
+    def test_bits_of_simulate_paths(self, vcos512, eig_cos512, stride):
+        cfg = McConfig(n_paths=300, dt=1e-3, seed=65)
+        start = gibbs_density(eig_cos512)
+        shim = simulate_sde(eig_cos512.drift, start, 0.05, cfg, potential=vcos512,
+                            record_stride=stride)
+        ens = simulate_paths(vcos512.grid, eig_cos512.drift, start, 0.05, cfg,
+                             potential=vcos512, record_stride=stride)
+        assert shim.record_stride == ens.record_stride
+        assert np.array_equal(shim.positions, ens.positions)
+        assert np.array_equal(shim.potential_integrals, ens.potential_integrals)
 
 
 class TestSampleFromDensity:

@@ -13,8 +13,9 @@ import numpy as np
 import pytest
 
 import fk_thermo.mc as mc
-from fk_thermo import (GridFunction, HarmonicSpec, McConfig, PropagatorConfig,
+from fk_thermo import (GridFunction, HarmonicSpec, McConfig,
                        gibbs_density, make_grid, simulate_paths)
+from fk_thermo.feynman_kac import PropagatorConfig
 from fk_thermo.mc import sample_from_density
 
 from oracles import euler_paths

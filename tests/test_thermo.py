@@ -185,7 +185,7 @@ class TestEntropyFiniteTMc:
     def test_estimate_insensitive_to_point_mass_start(self, vcos512, eig_cos512):
         # Same per-path functional started from a point mass instead of the
         # invariant law; the boundary terms add an O(1/T) transient only.
-        from fk_thermo import simulate_sde
+        from fk_thermo.gibbs import simulate_sde
 
         ad = admissible_from_eigen(eig_cos512, vcos512)
         T = 5.0
